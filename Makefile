@@ -15,7 +15,7 @@ RACE_PKGS := ./internal/bound ./internal/pareto ./internal/fusion \
 # already shortened to milliseconds.
 ROBUST_PKGS := ./internal/shard ./internal/supervise ./internal/traverse
 
-.PHONY: all vet build test race robust serve fleet chaos store bench-json docs ci
+.PHONY: all vet build test race robust serve fleet chaos store perfbench-smoke bench-json docs ci
 
 all: ci
 
@@ -77,6 +77,13 @@ store:
 	go test -race -count=1 ./internal/cliutil -run 'Store|Warm'
 	go test -race -count=1 ./internal/serve -run 'Store|Restart|Warmer|Corrupt|Degraded206'
 
+# The repository benchmark (perfbench/) is its own Go module, so
+# `go test ./...` never compiles it. Its smoke test builds it against the
+# current tree and runs every workload on small inputs, so an API change
+# that breaks the benchmark fails here.
+perfbench-smoke:
+	cd perfbench && go test -count=1 .
+
 # Machine-readable benchmark artifact: the paper-figure benchmark suite
 # (root package) parsed into BENCH_PR9.json by internal/tools/benchjson,
 # followed by a delta report against the previous PR's artifact so
@@ -93,4 +100,4 @@ bench-json:
 		go run ./internal/tools/benchjson -delta BENCH_PR9.json BENCH_PR10.json; \
 	fi
 
-ci: vet build test race robust serve fleet chaos store docs
+ci: vet build test race robust serve fleet chaos store perfbench-smoke docs

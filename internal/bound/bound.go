@@ -21,7 +21,11 @@ import (
 // Stats reports the cost of a bound derivation, used by the Table I
 // runtime comparison and the cmd tools' -stats output.
 type Stats struct {
+	// MappingsEvaluated counts the mappings (tiling × distinct outer-loop
+	// order) the derivation covered; Tilings counts the evaluations it
+	// actually ran, one per tiling.
 	MappingsEvaluated int64
+	Tilings           int64
 	Elapsed           time.Duration
 
 	// Workers is the number of evaluation goroutines the traversal
@@ -147,27 +151,29 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, lo, hi int
 	}
 	start := time.Now()
 
-	imperfect := opts.ImperfectExtra > 0
 	en := newEnum(e, opts)
 	if lo < 0 || hi < lo || hi > en.Tilings() {
 		panic(fmt.Sprintf("bound: DeriveRange [%d, %d) outside [0, %d)", lo, hi, en.Tilings()))
 	}
 
+	model := snowcat.Perfect
+	switch {
+	case opts.ImperfectExtra > 0:
+		model = snowcat.Imperfect
+	case opts.ChargeSpills:
+		model = snowcat.SpillCharged
+	}
+	// One evaluation per tiling: a tiling's mappings share its buffer
+	// requirement, so only its minimum-access order can reach the frontier
+	// (see snowcat.TilingEvaluator). The count still reports every mapping
+	// that evaluation covers.
 	curve, ts, err := traverse.FrontierRange(ctx, lo, hi, opts.Workers, func() traverse.ChunkFunc {
-		ev := snowcat.NewEvaluator(e)
-		eval := ev.EvaluateCompact
-		switch {
-		case imperfect:
-			eval = ev.EvaluateImperfectCompact
-		case opts.ChargeSpills:
-			eval = ev.EvaluateCompactSpillCharged
-		}
+		te := snowcat.NewTilingEvaluator(e, model)
 		return func(lo, hi int64, b *pareto.Builder) int64 {
 			var count int64
-			en.Visit(lo, hi, func(m *mapping.Mapping) {
-				buf, acc := eval(m)
-				b.Add(buf, acc)
-				count++
+			en.VisitTilings(lo, hi, func(splits []shape.Split) {
+				b.Add(te.Evaluate(splits))
+				count += mapping.Orders(splits)
 			})
 			return count
 		}
@@ -182,6 +188,7 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, lo, hi int
 		Curve: curve,
 		Stats: Stats{
 			MappingsEvaluated: ts.Evaluated,
+			Tilings:           ts.Items,
 			Elapsed:           time.Since(start),
 			Workers:           ts.Workers,
 		},

@@ -61,9 +61,14 @@ type Einsum struct {
 // experiments (fp16/bf16).
 const DefaultElementSize = 2
 
+// MaxTensors caps the tensors of an Einsum: the loop-order search
+// (nest.OrderSearch) tracks sets of tensors as 64-bit masks.
+const MaxTensors = 64
+
 // Validate checks internal consistency: unique rank names, at least one
-// input and exactly one output tensor, and every projection referring to a
-// declared rank. It returns a descriptive error for the first problem found.
+// input and exactly one output tensor, at most MaxTensors tensors, and
+// every projection referring to a declared rank. It returns a descriptive
+// error for the first problem found.
 func (e *Einsum) Validate() error {
 	if e.Name == "" {
 		return fmt.Errorf("einsum: missing name")
@@ -111,6 +116,9 @@ func (e *Einsum) Validate() error {
 	}
 	if len(e.Tensors) < 2 {
 		return fmt.Errorf("einsum %s: want at least one input and one output tensor", e.Name)
+	}
+	if len(e.Tensors) > MaxTensors {
+		return fmt.Errorf("einsum %s: %d tensors, at most %d supported", e.Name, len(e.Tensors), MaxTensors)
 	}
 	return nil
 }

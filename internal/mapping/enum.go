@@ -62,8 +62,23 @@ func (en *Enum) Tilings() int64 {
 // for every mapping (tiling x distinct outer order). The last rank's index
 // varies fastest, so Visit(0, Tilings()) matches Space's order exactly.
 // The Mapping value is reused between calls; visitors that retain it must
-// Clone it.
+// Clone it. Visit is the exhaustive per-order reference; derivations that
+// only need each tiling's best order use VisitTilings.
 func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
+	m := &Mapping{Splits: make(map[string]shape.Split, len(en.rankNames))}
+	en.VisitTilings(lo, hi, func(splits []shape.Split) {
+		for i, r := range en.rankNames {
+			m.Splits[r] = splits[i]
+		}
+		emitPermutations(m, en.rankNames, visit)
+	})
+}
+
+// VisitTilings enumerates the tilings with flat index in [lo, hi) in
+// Visit's order, calling visit once per tiling with one split per rank in
+// Einsum.Ranks order. The slice is reused between calls; visitors that
+// retain it must copy it.
+func (en *Enum) VisitTilings(lo, hi int64, visit func([]shape.Split)) {
 	n := len(en.rankNames)
 	if n == 0 || lo >= hi {
 		return
@@ -76,12 +91,12 @@ func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
 		idx[i] = int(rem % k)
 		rem /= k
 	}
-	m := &Mapping{Splits: make(map[string]shape.Split, n)}
+	splits := make([]shape.Split, n)
 	for flat := lo; flat < hi; flat++ {
-		for i, r := range en.rankNames {
-			m.Splits[r] = en.options[i][idx[i]]
+		for i := range splits {
+			splits[i] = en.options[i][idx[i]]
 		}
-		emitPermutations(m, en.rankNames, visit)
+		visit(splits)
 		for i := n - 1; i >= 0; i-- {
 			idx[i]++
 			if idx[i] < len(en.options[i]) {

@@ -107,6 +107,18 @@ func Space(e *einsum.Einsum, visit func(*Mapping)) {
 	en.Visit(0, en.Tilings(), visit)
 }
 
+// Orders returns the number of distinct outer-loop orders Visit expands
+// the tiling splits into: k! for its k loops with outer bound > 1.
+func Orders(splits []shape.Split) int64 {
+	k := 0
+	for _, s := range splits {
+		if s.Outer > 1 {
+			k++
+		}
+	}
+	return shape.Factorial(k)
+}
+
 // emitPermutations calls visit once per distinct outer-loop order for the
 // current tiling. Loops with outer bound 1 are pinned innermost in a fixed
 // order since their position is immaterial.
@@ -132,54 +144,13 @@ func emitPermutations(m *Mapping, rankNames []string, visit func(*Mapping)) {
 	}
 }
 
-// SpacePinned enumerates the mapspace like Space but with the first rank's
-// split fixed to first, which lets callers shard the traversal across
-// workers. The Mapping value is reused between visits.
-func SpacePinned(e *einsum.Einsum, first shape.Split, visit func(*Mapping)) {
-	n := len(e.Ranks)
-	if n == 0 {
-		return
-	}
-	if first.Inner*first.Outer != e.Ranks[0].Shape {
-		panic(fmt.Sprintf("mapping: SpacePinned: split %dx%d does not cover rank %s shape %d",
-			first.Inner, first.Outer, e.Ranks[0].Name, e.Ranks[0].Shape))
-	}
-	rankNames := make([]string, n)
-	splitOptions := make([][]shape.Split, n)
-	for i, r := range e.Ranks {
-		rankNames[i] = r.Name
-		splitOptions[i] = shape.Splits(r.Shape)
-	}
-	splitOptions[0] = []shape.Split{first}
-
-	m := &Mapping{Splits: make(map[string]shape.Split, n)}
-	idx := make([]int, n)
-	for {
-		for i, r := range rankNames {
-			m.Splits[r] = splitOptions[i][idx[i]]
-		}
-		emitPermutations(m, rankNames, visit)
-		i := n - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(splitOptions[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return
-		}
-	}
-}
-
 // SpaceSize returns the number of mappings Space will visit for e.
 func SpaceSize(e *einsum.Einsum) int64 {
 	// Group tilings by their number of active (outer > 1) loops.
 	var count func(i int, active int, acc int64) int64
 	count = func(i, active int, acc int64) int64 {
 		if i == len(e.Ranks) {
-			return acc * factorial(active)
+			return acc * shape.Factorial(active)
 		}
 		var total int64
 		for _, s := range shape.Splits(e.Ranks[i].Shape) {
@@ -192,12 +163,4 @@ func SpaceSize(e *einsum.Einsum) int64 {
 		return total
 	}
 	return count(0, 0, 1)
-}
-
-func factorial(n int) int64 {
-	f := int64(1)
-	for i := 2; i <= n; i++ {
-		f *= int64(i)
-	}
-	return f
 }

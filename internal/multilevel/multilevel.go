@@ -13,12 +13,23 @@
 // probe's optimism.
 //
 // The traversal runs on the shared engine (internal/traverse): the
-// three-split combinations form a flat index space chunked across workers,
-// with the loop-order permutations expanded per combination inside each
-// chunk; per-worker Pareto builders and joint-entry tables are merged
-// after the traversal, so the curves and MinL2GivenOptimalDRAM answers are
+// three-split combinations form a flat index space chunked across workers;
+// per-worker Pareto builders and joint-entry tables are merged after the
+// traversal, so the curves and MinL2GivenOptimalDRAM answers are
 // byte-identical for every worker count. Transfer counts instantiate the
 // shared product rule (internal/nest) on the composite outer+mid nest.
+//
+// Loop orders are not enumerated. A combination's footprints fix both
+// curves' buffer axis, so only its best order pairs can reach a frontier,
+// and under the product rule the traffic separates by level: DRAM traffic
+// depends on the outer order only, and each tensor's L2 traffic on the
+// outer order (when no relevant mid loop iterates) or on the mid order
+// alone, scaled by every outer bound. Per combination, nest.OrderSearch
+// therefore yields the least DRAM traffic, the least L2 traffic (least
+// outer part plus least mid part) and the joint entry
+// (lexicographically least (DRAM, outer L2 part), plus the least mid
+// part) exactly — one evaluation where the enumeration made (n!)^2, while
+// Mappings still counts the (n!)^2 mappings covered.
 package multilevel
 
 import (
@@ -50,7 +61,9 @@ type Result struct {
 	// L2 is the frontier of (L2 footprint, L2->L1 traffic) over the same
 	// mappings.
 	L2 *pareto.Curve
-	// Mappings is the number of three-level mappings evaluated.
+	// Mappings is the number of three-level mappings covered: (n!)^2
+	// order pairs per feasible combination. Stats.Items counts the
+	// combinations visited, one evaluation each.
 	Mappings int64
 
 	// Stats reports what the traversal did (workers launched, throughput).
@@ -82,6 +95,10 @@ type derState struct {
 	joint map[int64]jointEntry
 }
 
+// MaxRanks caps the ranks of a three-level derivation: every combination
+// covers (n!)² mappings, which the Mappings count must hold.
+const MaxRanks = 8
+
 // Space returns the size of the flat three-split combination space Derive
 // walks for e: the product over ranks of their three-split counts. It is
 // the [0, Space) range DeriveRange slices and a cross-process shard plan
@@ -89,6 +106,9 @@ type derState struct {
 func Space(e *einsum.Einsum) (int64, error) {
 	if err := e.Validate(); err != nil {
 		return 0, err
+	}
+	if len(e.Ranks) > MaxRanks {
+		return 0, fmt.Errorf("multilevel: einsum %s has %d ranks, at most %d supported", e.Name, len(e.Ranks), MaxRanks)
 	}
 	combos := int64(1)
 	for _, r := range e.Ranks {
@@ -130,20 +150,18 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 	}
 
 	n := len(e.Ranks)
-	names := make([]string, n)
 	options := make([][]shape.ThreeSplit, n)
 	for i, r := range e.Ranks {
-		names[i] = r.Name
 		options[i] = shape.ThreeSplits(r.Shape)
 	}
 	combos := hi - lo
 
-	tensors := make([]*einsum.Tensor, len(e.Tensors))
-	for i := range e.Tensors {
-		tensors[i] = &e.Tensors[i]
-	}
+	tensors := e.Dense()
 	es := e.ElementSize
-	perms := shape.Permutations(n)
+	// Every combination covers (n!)^2 mappings: an outer and a mid order
+	// of all n ranks.
+	orders := shape.Factorial(n)
+	mappings := orders * orders
 
 	w := traverse.WorkerCount(combos, opts.Workers)
 	states := make([]*derState, w)
@@ -156,14 +174,41 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 		states[wi] = st
 
 		// Per-worker scratch, reused across the worker's chunks.
-		tiles0 := map[string]int64{}
-		tiles1 := map[string]int64{}
-		boundsMid := map[string]int64{}
-		boundsOut := map[string]int64{}
+		tiles0 := make([]int64, n)
+		tiles1 := make([]int64, n)
 		idx := make([]int, n)
 		fp0 := make([]int64, len(tensors))
 		fp1 := make([]int64, len(tensors))
-		loops := make([]nest.Loop, 2*n) // outer nest, then mid nest
+		midIter := make([]bool, len(tensors))
+		var outer, mid nest.LoopSet
+		var outerAll int64 // product of every outer bound
+		var search nest.OrderSearch
+
+		// The three traffic components, each a function of one level's
+		// order only. DRAM traffic and the L2 traffic of a tensor with no
+		// iterating relevant mid loop follow the outer order; the L2
+		// traffic of every other tensor runs through all outer loops and
+		// then follows the mid order.
+		dramAndA := func(t, r int, outside int64) (int64, int64) {
+			iters := outer.Iterations(r, outside)
+			a := int64(0)
+			if !midIter[t] {
+				a = fp0[t] * iters
+			}
+			return fp1[t] * iters, a
+		}
+		onlyA := func(t, r int, outside int64) (int64, int64) {
+			if midIter[t] {
+				return 0, 0
+			}
+			return fp0[t] * outer.Iterations(r, outside), 0
+		}
+		onlyB := func(t, r int, outside int64) (int64, int64) {
+			if !midIter[t] {
+				return 0, 0
+			}
+			return fp0[t] * outerAll * mid.Iterations(r, outside), 0
+		}
 
 		return func(clo, chi int64) int64 {
 			// Decode the global start index lo+clo into mixed-radix digits
@@ -177,49 +222,44 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 			}
 			var count int64
 			for flat := clo; flat < chi; flat++ {
-				for i, name := range names {
+				outer.Reset()
+				mid.Reset()
+				outerAll = 1
+				for i := range options {
 					ts := options[i][idx[i]]
-					tiles0[name] = ts.L0
-					tiles1[name] = ts.L0 * ts.L1
-					boundsMid[name] = ts.L1
-					boundsOut[name] = ts.L2
+					tiles0[i] = ts.L0
+					tiles1[i] = ts.L0 * ts.L1
+					outer.Add(i, ts.L2)
+					mid.Add(i, ts.L1)
+					outerAll *= ts.L2
 				}
-				// Footprints are per-tile-choice, not per-order: compute
-				// them once per combination, outside the permutation loops.
 				var buf1, buf2 int64
-				for i, t := range tensors {
-					fp0[i] = e.Footprint(t, tiles0)
-					fp1[i] = e.Footprint(t, tiles1)
+				for i := range tensors {
+					t := &tensors[i]
+					fp0[i] = t.Footprint(tiles0)
+					fp1[i] = t.Footprint(tiles1)
 					buf1 += fp0[i]
 					buf2 += fp1[i]
 				}
 				if buf1*es <= l1CapBytes {
 					key := buf2 * es
-					// Orders: outer (DRAM-level) enclosing mid (L2-level).
-					for _, pOut := range perms {
-						for i, p := range pOut {
-							loops[i] = nest.Loop{Rank: names[p], Bound: boundsOut[names[p]]}
-						}
-						var dram int64
-						for i, t := range tensors {
-							dram += fp1[i] * nest.Iterations(loops[:n], t.Relevant)
-						}
-						st.dramB.Add(key, dram*es)
-						for _, pMid := range perms {
-							for i, p := range pMid {
-								loops[n+i] = nest.Loop{Rank: names[p], Bound: boundsMid[names[p]]}
-							}
-							var l2traffic int64
-							for i, t := range tensors {
-								l2traffic += fp0[i] * nest.Iterations(loops, t.Relevant)
-							}
-							count++
-							st.l2B.Add(key, l2traffic*es)
-							je, ok := st.joint[key]
-							if !ok || je.better(dram*es, l2traffic*es) {
-								st.joint[key] = jointEntry{dram: dram * es, l2: l2traffic * es}
-							}
-						}
+					outer.Relevance(tensors)
+					mid.Relevance(tensors)
+					for i := range tensors {
+						midIter[i] = mid.Rel[i] != 0
+					}
+					// Over all (outer, mid) order pairs: the least DRAM
+					// traffic, the least L2 traffic (min A + min B), and the
+					// joint entry lexmin(DRAM, A) + min B.
+					dram, jointA := search.MinLex(outer.Bounds, outer.Rel, dramAndA)
+					minA, _ := search.MinLex(outer.Bounds, outer.Rel, onlyA)
+					minB, _ := search.MinLex(mid.Bounds, mid.Rel, onlyB)
+					count += mappings
+					st.dramB.Add(key, dram*es)
+					st.l2B.Add(key, (minA+minB)*es)
+					je, ok := st.joint[key]
+					if !ok || je.better(dram*es, (jointA+minB)*es) {
+						st.joint[key] = jointEntry{dram: dram * es, l2: (jointA + minB) * es}
 					}
 				}
 				for i := n - 1; i >= 0; i-- {

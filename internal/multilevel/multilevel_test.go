@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bound"
@@ -161,5 +162,33 @@ func TestDeriveRejectsBadInput(t *testing.T) {
 	bad := &einsum.Einsum{Name: "bad", ElementSize: 2}
 	if _, err := Derive(bad, 1024, Options{}); err == nil {
 		t.Fatal("invalid einsum accepted")
+	}
+}
+
+// TestDeriveCapsRanks: up to MaxRanks ranks derive (shape-1 padding leaves
+// the GEMM's curves unchanged); one more is an error, not a panic.
+func TestDeriveCapsRanks(t *testing.T) {
+	pad := func(extra int) *einsum.Einsum {
+		e := einsum.GEMM("g", 6, 4, 4)
+		for i := 0; i < extra; i++ {
+			name := fmt.Sprintf("U%d", i)
+			e.Ranks = append(e.Ranks, einsum.Rank{Name: name, Shape: 1})
+			e.Tensors[1].Dims = append(e.Tensors[1].Dims, einsum.Dim{Terms: []einsum.Term{{Rank: name, Coeff: 1}}})
+		}
+		return e
+	}
+	want, err := Derive(pad(0), 64, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Derive(pad(MaxRanks-3), 64, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DRAM.Canonical() != want.DRAM.Canonical() || got.L2.Canonical() != want.L2.Canonical() {
+		t.Fatalf("shape-1 padding changed the curves")
+	}
+	if _, err := Derive(pad(MaxRanks-2), 64, Options{Workers: 2}); err == nil {
+		t.Fatalf("%d ranks accepted", MaxRanks+1)
 	}
 }

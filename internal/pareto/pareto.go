@@ -8,7 +8,9 @@
 package pareto
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -198,7 +200,7 @@ func NewBuilder() *Builder {
 func (b *Builder) Add(bufBytes, accessBytes int64) {
 	b.pts = append(b.pts, Point{BufferBytes: bufBytes, AccessBytes: accessBytes})
 	if len(b.pts) >= b.capLimit {
-		b.pts = frontier(b.pts)
+		b.pts = compact(b.pts)
 		// If the frontier itself is huge, raise the compaction threshold
 		// so we still make forward progress.
 		if len(b.pts)*2 >= b.capLimit {
@@ -214,27 +216,25 @@ func (b *Builder) AddCurve(c *Curve) {
 	}
 }
 
-// Curve compacts and returns the accumulated Pareto frontier.
+// Curve compacts and returns the accumulated Pareto frontier. The curve
+// owns a fresh slice, so later Adds never alias it.
 func (b *Builder) Curve() *Curve {
-	return &Curve{pts: frontier(b.pts)}
+	b.pts = compact(b.pts)
+	return &Curve{pts: clonePoints(b.pts)}
 }
 
-// frontier reduces points to the Pareto-optimal staircase: ascending
-// buffer, strictly descending accesses.
-func frontier(pts []Point) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].BufferBytes != sorted[j].BufferBytes {
-			return sorted[i].BufferBytes < sorted[j].BufferBytes
+// compact sorts pts in place and reduces them to the Pareto-optimal
+// staircase — ascending buffer, strictly descending accesses — reusing
+// pts' storage: no allocation.
+func compact(pts []Point) []Point {
+	slices.SortFunc(pts, func(a, b Point) int {
+		if a.BufferBytes != b.BufferBytes {
+			return cmp.Compare(a.BufferBytes, b.BufferBytes)
 		}
-		return sorted[i].AccessBytes < sorted[j].AccessBytes
+		return cmp.Compare(a.AccessBytes, b.AccessBytes)
 	})
-	out := sorted[:0]
-	for _, p := range sorted {
+	out := pts[:0]
+	for _, p := range pts {
 		// Drop points dominated by the best-so-far.
 		if n := len(out); n > 0 {
 			if p.AccessBytes >= out[n-1].AccessBytes {
@@ -247,7 +247,15 @@ func frontier(pts []Point) []Point {
 		}
 		out = append(out, p)
 	}
-	return append([]Point(nil), out...)
+	return out
+}
+
+// clonePoints returns an exactly sized copy of pts, nil when empty.
+func clonePoints(pts []Point) []Point {
+	if len(pts) == 0 {
+		return nil
+	}
+	return append([]Point(nil), pts...)
 }
 
 // Sum composes curves for workloads executed back to back sharing one
@@ -307,7 +315,8 @@ func Union(curves ...*Curve) *Curve {
 			degraded = degraded || c.Degraded
 		}
 	}
-	return &Curve{pts: frontier(pts), Degraded: degraded}
+	// pts is private to this call, so compact it in place.
+	return &Curve{pts: clonePoints(compact(pts)), Degraded: degraded}
 }
 
 // MergeMin composes alternatives (e.g. different segmentation strategies):

@@ -203,6 +203,44 @@ func TestBuilderCompaction(t *testing.T) {
 	}
 }
 
+// TestBuilderCompactsInPlace: once the Builder's slice has grown to its
+// compaction threshold, further Adds — compactions included — reuse it
+// and allocate nothing.
+func TestBuilderCompactsInPlace(t *testing.T) {
+	b := NewBuilder()
+	fill := func() {
+		for i := int64(0); i < 1<<14; i++ {
+			b.Add(i%97, 1000-(i*31)%89)
+		}
+	}
+	fill() // grow the slice to the threshold once
+	if n := testing.AllocsPerRun(5, fill); n != 0 {
+		t.Fatalf("%v allocations per %d Adds with compactions", n, 1<<14)
+	}
+}
+
+// TestBuilderCurveDoesNotAlias: a returned curve owns its points, so the
+// Builder's later Adds and compactions never change it.
+func TestBuilderCurveDoesNotAlias(t *testing.T) {
+	b := NewBuilder()
+	b.Add(10, 100)
+	b.Add(20, 50)
+	c := b.Curve()
+	before := append([]Point(nil), c.Points()...)
+	b.Add(5, 10) // dominates both points
+	for i := int64(0); i < 1<<15; i++ {
+		b.Add(i, 1<<40-i)
+	}
+	if b.Curve().Len() == len(before) {
+		t.Fatal("later Adds did not change the builder's frontier")
+	}
+	for i, p := range c.Points() {
+		if p != before[i] {
+			t.Fatalf("earlier curve changed at %d: %v, was %v", i, p, before[i])
+		}
+	}
+}
+
 func TestBuilderKeepsHugeAllOptimalFrontier(t *testing.T) {
 	// Adversarial input for the on-the-fly compaction: more Pareto-optimal
 	// points than the initial capLimit (1 << 14). Compaction cannot shrink

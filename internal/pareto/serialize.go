@@ -64,7 +64,7 @@ func (c *Curve) UnmarshalJSON(data []byte) error {
 			}
 		}
 	}
-	c.pts = frontier(cj.Points)
+	c.pts = clonePoints(compact(cj.Points))
 	c.AlgoMinBytes = cj.AlgoMinBytes
 	c.TotalOperandBytes = cj.TotalOperandBytes
 	c.Degraded = cj.Degraded

@@ -352,6 +352,52 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedEinsums: an einsum with more ranks than a 64-bit mask holds
+// derives on the parallel path, and the engine limits — einsum.MaxTensors
+// tensors, multilevel.MaxRanks ranks — answer 400, never a crash.
+func TestOversizedEinsums(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	letters := func(i int) string { return string(rune('A'+i/26)) + string(rune('A'+i%26)) }
+	padded := func(extra int) string {
+		dims, shapes := "", ""
+		for i := 0; i < extra; i++ {
+			dims += ",u" + letters(i)
+			shapes += ",U" + letters(i) + "=1"
+		}
+		return fmt.Sprintf("B[m,n] = A[m,k%s] * W[k,n] {M=12,K=8,N=6%s}", dims, shapes)
+	}
+
+	want, err := json.Marshal(bound.Derive(einsum.GEMM("b", 12, 8, 6), bound.Options{Workers: 1}).Curve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, data := postCurve(t, ts.URL, fmt.Sprintf(`{"einsum":%q}`, padded(70)))
+	if status != http.StatusOK {
+		t.Fatalf("73-rank einsum: status %d: %s", status, data)
+	}
+	if env := decodeEnvelope(t, data); string(env.Curve) != string(want) {
+		t.Fatalf("73-rank einsum: curve differs from the unpadded GEMM\n got %s\nwant %s", env.Curve, want)
+	}
+
+	inputs := ""
+	for i := 0; i < einsum.MaxTensors; i++ {
+		inputs += "X" + letters(i) + "[m,k] * "
+	}
+	cases := map[string]string{
+		"too many tensors":          fmt.Sprintf(`{"einsum":%q}`, "B[m,n] = "+inputs+"W[k,n] {M=4,K=4,N=4}"),
+		"too many multilevel ranks": fmt.Sprintf(`{"einsum":%q,"multilevel":{"l1_cap_bytes":64}}`, padded(multilevel.MaxRanks-2)),
+	}
+	for name, body := range cases {
+		status, data := postCurve(t, ts.URL, body)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", name, status, data)
+		}
+		if ei := decodeError(t, data); ei.Code != "invalid_workload" {
+			t.Fatalf("%s: code %q, want invalid_workload (%s)", name, ei.Code, ei.Message)
+		}
+	}
+}
+
 // TestHealthAndStats covers the observability endpoints.
 func TestHealthAndStats(t *testing.T) {
 	s, ts := newTestServer(t, Config{})

@@ -76,7 +76,8 @@ func ThreeSplits(n int64) []ThreeSplit {
 
 // Product multiplies a slice of bounds, panicking on overflow. Access
 // counts in this code base stay far below 2^63, but a silent wrap would be
-// disastrous for a bounds tool, so we check.
+// disastrous for a bounds tool, so we check. The panic names only the
+// failing partial product and factor, so xs never escapes to the heap.
 func Product(xs ...int64) int64 {
 	p := int64(1)
 	for _, x := range xs {
@@ -84,11 +85,23 @@ func Product(xs ...int64) int64 {
 			return 0
 		}
 		if p > (1<<62)/x {
-			panic(fmt.Sprintf("shape: Product overflow: %v", xs))
+			panic(fmt.Sprintf("shape: Product overflow: %d * %d", p, x))
 		}
 		p *= x
 	}
 	return p
+}
+
+// Factorial returns n! for 0 <= n <= 20 (the largest that fits an int64).
+func Factorial(n int) int64 {
+	if n < 0 || n > 20 {
+		panic(fmt.Sprintf("shape: Factorial(%d): n must be in [0, 20]", n))
+	}
+	f := int64(1)
+	for i := 2; i <= n; i++ {
+		f *= int64(i)
+	}
+	return f
 }
 
 // CeilDiv returns ceil(a/b) for positive integers.

@@ -112,6 +112,17 @@ func TestProductOverflowPanics(t *testing.T) {
 	Product(1<<40, 1<<40)
 }
 
+// TestProductDoesNotAllocate: the overflow panic must not let the
+// variadic slice escape, or every call would heap-allocate it.
+func TestProductDoesNotAllocate(t *testing.T) {
+	a, b, c := int64(3), int64(5), int64(7)
+	var sink int64
+	if n := testing.AllocsPerRun(100, func() { sink += Product(a, b, c) }); n != 0 {
+		t.Fatalf("Product allocates %v times per call", n)
+	}
+	_ = sink
+}
+
 func TestCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, want int64 }{
 		{10, 5, 2}, {11, 5, 3}, {1, 5, 1}, {5, 5, 1}, {0, 5, 0},

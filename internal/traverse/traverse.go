@@ -81,10 +81,16 @@ func Recovered(v any) *PanicError {
 // runChunk invokes one chunk function with panic containment: a panic in
 // fn becomes a *PanicError return instead of unwinding the worker
 // goroutine (which would crash the process, since goroutine panics cannot
-// be recovered by anyone else).
-func runChunk(fn RangeFunc, lo, hi int64) (n int64, err error) {
+// be recovered by anyone else). A panic also sets poisoned, if non-nil,
+// before anything else and in particular before the stack capture, so
+// peers that check it at their next chunk grab stop without waiting for
+// the PanicError to be built.
+func runChunk(fn RangeFunc, lo, hi int64, poisoned *atomic.Bool) (n int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if poisoned != nil {
+				poisoned.Store(true)
+			}
 			err = Recovered(r)
 		}
 	}()
@@ -198,7 +204,7 @@ func Partition(ctx context.Context, items int64, workerCount int, newWorker func
 			if hi > items {
 				hi = items
 			}
-			cn, cerr := runChunk(fn, lo, hi)
+			cn, cerr := runChunk(fn, lo, hi, nil)
 			if cerr != nil {
 				return Stats{Workers: 1, Items: lo, Evaluated: n, Elapsed: time.Since(start)}, cerr
 			}
@@ -207,11 +213,9 @@ func Partition(ctx context.Context, items int64, workerCount int, newWorker func
 		return Stats{Workers: 1, Items: items, Evaluated: n, Elapsed: time.Since(start)}, nil
 	}
 
-	// pctx lets a panicking worker stop its peers before their next chunk
-	// grab, exactly like an external cancellation.
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-
+	// poisoned stops every worker at its next chunk grab once any chunk
+	// panics; runChunk sets it first thing in its recovery.
+	var poisoned atomic.Bool
 	var next atomic.Int64
 	counts := make([]int64, w)
 	grabbed := make([]int64, w)
@@ -223,7 +227,7 @@ func Partition(ctx context.Context, items int64, workerCount int, newWorker func
 			defer wg.Done()
 			fn := newWorker(i)
 			var n, items2 int64
-			for pctx.Err() == nil {
+			for !poisoned.Load() && ctx.Err() == nil {
 				lo := next.Add(chunk) - chunk
 				if lo >= items {
 					break
@@ -232,10 +236,9 @@ func Partition(ctx context.Context, items int64, workerCount int, newWorker func
 				if hi > items {
 					hi = items
 				}
-				cn, cerr := runChunk(fn, lo, hi)
+				cn, cerr := runChunk(fn, lo, hi, &poisoned)
 				if cerr != nil {
 					panics[i] = cerr
-					pcancel()
 					break
 				}
 				n += cn

@@ -85,19 +85,21 @@ perfbench-smoke:
 	cd perfbench && go test -count=1 .
 
 # Machine-readable benchmark artifact: the paper-figure benchmark suite
-# (root package) parsed into BENCH_PR9.json by internal/tools/benchjson,
-# followed by a delta report against the previous PR's artifact so
-# regressions are visible in the CI log. BENCHTIME=1x (the default) runs
-# each benchmark once — a smoke-level artifact for CI; raise it (e.g.
-# BENCHTIME=2s) for stable numbers.
+# (root package) parsed into $(BENCH_OUT) by internal/tools/benchjson,
+# followed by a delta report against the tracked $(BENCH_PREV) artifact
+# so regressions are visible in the CI log. BENCHTIME=1x (the default)
+# runs each benchmark once — a smoke-level artifact for CI; raise it
+# (e.g. BENCHTIME=2s) for stable numbers.
 BENCHTIME ?= 1x
 BENCH ?= .
+BENCH_OUT ?= BENCH_PR13.json
+BENCH_PREV ?= BENCH_PR10.json
 
 bench-json:
 	go test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem . \
-		| go run ./internal/tools/benchjson -out BENCH_PR10.json
-	@if [ -f BENCH_PR9.json ]; then \
-		go run ./internal/tools/benchjson -delta BENCH_PR9.json BENCH_PR10.json; \
+		| go run ./internal/tools/benchjson -out $(BENCH_OUT)
+	@if [ -f $(BENCH_PREV) ]; then \
+		go run ./internal/tools/benchjson -delta $(BENCH_PREV) $(BENCH_OUT); \
 	fi
 
 ci: vet build test race robust serve fleet chaos store perfbench-smoke docs

@@ -112,13 +112,18 @@ func TiledFusionRange(ctx context.Context, c *Chain, lo, hi int64, workers int) 
 	}
 	curve, ts, err := traverse.FrontierRange(ctx, lo, hi, workers, func() traverse.ChunkFunc {
 		return func(lo, hi int64, b *pareto.Builder) int64 {
-			var count int64
+			var count, m0, n2, io, cands int64
+			group := int64(-1)
 			for idx := lo; idx < hi; idx++ {
-				f := int(idx % sp.subsets)
-				rest := idx / sp.subsets
-				n2 := sp.n2Options[rest%int64(len(sp.n2Options))]
-				m0 := sp.m0Options[rest/int64(len(sp.n2Options))]
-				count += evalTemplate(c, b, m0, n2, f, sp.lastTileOptions)
+				// The residency subset is the fastest digit, so the
+				// (M0, N2(0)) I/O term holds until idx / subsets moves.
+				if g := idx / sp.subsets; g != group {
+					group = g
+					n2 = sp.n2Options[g%int64(len(sp.n2Options))]
+					m0 = sp.m0Options[g/int64(len(sp.n2Options))]
+					io, cands = templateIO(c, m0, n2, sp.lastTileOptions)
+				}
+				count += evalTemplate(c, b, m0, n2, int(idx%sp.subsets), io, cands)
 			}
 			return count
 		}
@@ -131,10 +136,38 @@ func TiledFusionRange(ctx context.Context, c *Chain, lo, hi int64, workers int) 
 	return curve, ts, nil
 }
 
-// evalTemplate evaluates one (M0, N2(0), residency subset) template point,
-// adding its mode-A and mode-B candidates to b, and returns the number of
-// candidates evaluated.
-func evalTemplate(c *Chain, b *pareto.Builder, m0, n2 int64, f int, lastTileOptions []int64) int64 {
+// templateIO returns the smallest InputOutputBuf peak (in elements) among
+// the candidates of an (M0, N2(0)) template, and how many candidates
+// there are. Every residency subset of the template shares both.
+//
+// Mode A: the last op accumulates its full output row.
+//
+// Mode B: FFMT-TiledN on the last op, one candidate per output tiling
+// factor above 1. It needs the full input row resident, which for a
+// two-op chain conflicts with op 0's output tiling unless N2(0) == 1.
+func templateIO(c *Chain, m0, n2 int64, lastTileOptions []int64) (io, cands int64) {
+	last := len(c.Ops) - 1
+	io = ioPeak(c, m0, n2, c.Ops[last].OutW)
+	cands = 1
+	if last >= 2 || n2 == 1 {
+		for _, lt := range lastTileOptions {
+			if lt == 1 {
+				continue // identical to mode A
+			}
+			io = min(io, ioPeak(c, m0, n2, c.Ops[last].OutW/lt))
+			cands++
+		}
+	}
+	return io, cands
+}
+
+// evalTemplate evaluates one (M0, N2(0), residency subset) template point
+// and returns the number of mode-A and mode-B candidates it covers; io
+// and cands come from templateIO. All candidates of a template share one
+// access count and differ only in buffer, so only the one with the
+// smallest buffer can reach the frontier: it is the single point added
+// to b.
+func evalTemplate(c *Chain, b *pareto.Builder, m0, n2 int64, f int, io, cands int64) int64 {
 	e0 := &c.Ops[0]
 	last := len(c.Ops) - 1
 	m1 := c.M / m0
@@ -150,26 +183,8 @@ func evalTemplate(c *Chain, b *pareto.Builder, m0, n2 int64, f int, lastTileOpti
 		// additional traversal.
 		acc += shape.Product(n2, m1-1, e0.HaloRows, e0.InW)
 	}
-
-	// Mode A: the last op accumulates its full output row.
-	io := ioPeak(c, m0, n2, c.Ops[last].OutW)
 	b.Add((io+wbuf)*c.ElementSize, acc*c.ElementSize)
-	count := int64(1)
-
-	// Mode B: FFMT-TiledN on the last op. It needs the full input row
-	// resident, which for a two-op chain conflicts with op 0's output
-	// tiling unless N2(0) == 1.
-	if last >= 2 || n2 == 1 {
-		for _, lt := range lastTileOptions {
-			if lt == 1 {
-				continue // identical to mode A
-			}
-			ioB := ioPeak(c, m0, n2, c.Ops[last].OutW/lt)
-			b.Add((ioB+wbuf)*c.ElementSize, acc*c.ElementSize)
-			count++
-		}
-	}
-	return count
+	return cands
 }
 
 // weightTerms returns the weight access count and resident-weight buffer

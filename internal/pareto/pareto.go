@@ -184,28 +184,54 @@ func FromPoints(pts []Point) *Curve {
 }
 
 // Builder accumulates (buffer, accesses) observations from a mapspace
-// traversal and compacts them to the Pareto frontier on the fly, so
-// million-point searches keep constant memory.
+// traversal and keeps only what can still reach the Pareto frontier, so
+// million-point searches keep memory proportional to the frontier.
+//
+// pts[:nf] is a compacted staircase (ascending buffer, strictly
+// descending accesses); pts[nf:] is a tail of pending points. Add binary
+// searches the staircase and drops a point it weakly dominates; any other
+// point joins the tail. When the tail is as long as the staircase (and at
+// least minTail), the whole slice is compacted into a new staircase. A
+// dominated Add therefore costs O(log F) for a frontier of F points. Any
+// input order — even an anti-sorted all-optimal staircase — costs
+// amortized O(log n) per Add: a compaction sorts m points only after at
+// least m/2 tail Adds. A point weakly dominated by a point already held
+// can never change the frontier, so the curve is the same set function of
+// the inputs however they were filtered on arrival.
 type Builder struct {
-	pts      []Point
-	capLimit int
+	pts []Point
+	nf  int
 }
+
+// minTail is the shortest pending tail that triggers a compaction, so
+// that a small staircase is not re-sorted after every few Adds.
+const minTail = 64
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{capLimit: 1 << 14}
+	return &Builder{}
 }
 
 // Add records one mapping's buffer requirement and access count.
 func (b *Builder) Add(bufBytes, accessBytes int64) {
-	b.pts = append(b.pts, Point{BufferBytes: bufBytes, AccessBytes: accessBytes})
-	if len(b.pts) >= b.capLimit {
-		b.pts = compact(b.pts)
-		// If the frontier itself is huge, raise the compaction threshold
-		// so we still make forward progress.
-		if len(b.pts)*2 >= b.capLimit {
-			b.capLimit *= 2
+	// Last staircase point with BufferBytes <= bufBytes: the one with the
+	// fewest accesses among those that fit in bufBytes.
+	lo, hi := 0, b.nf
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.pts[mid].BufferBytes <= bufBytes {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	if lo > 0 && b.pts[lo-1].AccessBytes <= accessBytes {
+		return
+	}
+	b.pts = append(b.pts, Point{BufferBytes: bufBytes, AccessBytes: accessBytes})
+	if len(b.pts)-b.nf >= max(minTail, b.nf) {
+		b.pts = compact(b.pts)
+		b.nf = len(b.pts)
 	}
 }
 
@@ -220,6 +246,7 @@ func (b *Builder) AddCurve(c *Curve) {
 // owns a fresh slice, so later Adds never alias it.
 func (b *Builder) Curve() *Curve {
 	b.pts = compact(b.pts)
+	b.nf = len(b.pts)
 	return &Curve{pts: clonePoints(b.pts)}
 }
 

@@ -24,10 +24,18 @@ vet:
 
 # Documentation gate: formatting, vet, and doc-comment coverage (package
 # docs everywhere; full exported-identifier docs in the core packages —
-# see internal/tools/doccheck).
+# see internal/tools/doccheck). It also keeps durability in one
+# fault-tested place: every atomic write, quarantine and temp sweep goes
+# through the primitives in internal/shard/fs.go, so no other non-test
+# code under internal/ or cmd/ may call os.Rename, os.WriteFile or
+# os.CreateTemp (internal/tools/ holds developer utilities, exempt).
 docs:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
+	@raw=$$(grep -rnE 'os\.(Rename|WriteFile|CreateTemp)\(' --include='*.go' internal cmd \
+		| grep -v '_test\.go:' | grep -v '^internal/shard/fs\.go:' | grep -v '^internal/tools/'); \
+	if [ -n "$$raw" ]; then echo "durable-file calls outside internal/shard/fs.go:"; \
+		printf "%s\n" "$$raw"; exit 1; fi
 	go vet ./...
 	go run ./internal/tools/doccheck
 

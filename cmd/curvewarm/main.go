@@ -30,6 +30,7 @@ import (
 
 	orojenesis "repro"
 	"repro/internal/cliutil"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -136,8 +137,8 @@ func zoo() (map[string]*workload.Spec, error) {
 }
 
 // writeZoo serializes the built-in zoo into dir, one spec per file,
-// atomically (temp + rename) so a concurrently starting warm walk never
-// reads a torn spec.
+// atomically (shard.WriteFileAtomic) so a concurrently starting warm walk
+// never reads a torn spec.
 func writeZoo(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -157,11 +158,7 @@ func writeZoo(dir string) error {
 			return fmt.Errorf("encoding zoo spec %s: %w", name, err)
 		}
 		path := filepath.Join(dir, name+".json")
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
+		if err := shard.WriteFileAtomic(shard.OS(), path, append(data, '\n')); err != nil {
 			return err
 		}
 		log.Printf("zoo spec -> %s", path)

@@ -285,7 +285,7 @@ func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(f.Out, append(data, '\n'), 0o644); err != nil {
+		if err := shard.WriteFileAtomic(shard.OS(), f.Out, append(data, '\n')); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("merged curve: %d points -> %s\n", curve.Len(), f.Out)
@@ -372,7 +372,7 @@ func RunSpec(path string, f *ShardFlags, st *store.Store, workers int, stats boo
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(f.Out, append(data, '\n'), 0o644); err != nil {
+		if err := shard.WriteFileAtomic(shard.OS(), f.Out, append(data, '\n')); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("curve: %d points -> %s\n", res.Curve.Len(), f.Out)

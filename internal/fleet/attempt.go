@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -226,25 +225,11 @@ func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) (*s
 // it tried to fill. Returns the path, or "" when even that write failed
 // (logged; the dispatch error stands on its own).
 func (c *coord) quarantineBytes(slotPath string, data []byte) string {
-	for i := 0; ; i++ {
-		qpath := slotPath + ".quarantine"
-		if i > 0 {
-			qpath = fmt.Sprintf("%s.quarantine.%d", slotPath, i)
-		}
-		f, err := os.OpenFile(qpath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if errors.Is(err, os.ErrExist) {
-			continue
-		}
-		if err != nil {
-			c.opts.logf("fleet: cannot quarantine invalid response at %s: %v", qpath, err)
-			return ""
-		}
-		_, werr := f.Write(data)
-		cerr := f.Close()
-		if werr != nil || cerr != nil {
-			c.opts.logf("fleet: writing quarantine %s: %v %v", qpath, werr, cerr)
-		}
-		c.quarantines.Add(1)
-		return qpath
+	qpath, err := shard.QuarantineBytes(shard.OS(), data, slotPath+".quarantine")
+	if err != nil {
+		c.opts.logf("fleet: cannot quarantine invalid response: %v", err)
+		return ""
 	}
+	c.quarantines.Add(1)
+	return qpath
 }

@@ -55,10 +55,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,30 +224,6 @@ func (o *Options) perWorker() int {
 		return DefaultPerWorker
 	}
 	return o.PerWorker
-}
-
-func (o *Options) maxRetries() int {
-	switch {
-	case o.MaxRetries == 0:
-		return supervise.DefaultMaxRetries
-	case o.MaxRetries < 0:
-		return 0
-	}
-	return o.MaxRetries
-}
-
-func (o *Options) backoffBounds() (base, max time.Duration) {
-	base, max = o.BaseBackoff, o.MaxBackoff
-	if base <= 0 {
-		base = supervise.DefaultBaseBackoff
-	}
-	if max <= 0 {
-		max = supervise.DefaultMaxBackoff
-	}
-	if max < base {
-		max = base
-	}
-	return base, max
 }
 
 // ShardState reports what the coordinator did for one shard.
@@ -442,16 +416,15 @@ func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report
 	}
 
 	var failed []error
+	paths := make([]string, n)
 	for k := range report.Shards {
-		if st := &report.Shards[k]; !st.Completed {
+		st := &report.Shards[k]
+		if !st.Completed {
 			failed = append(failed, st.Err)
 		}
+		paths[k] = st.Path
 	}
 	if len(failed) == 0 {
-		paths := make([]string, n)
-		for k := range paths {
-			paths[k] = report.Shards[k].Path
-		}
 		curve, err := shard.MergeFiles(paths...)
 		if err != nil {
 			return report, fmt.Errorf("fleet: final merge: %w", err)
@@ -466,7 +439,9 @@ func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report
 		return report, fmt.Errorf("fleet: %d of %d shards failed permanently (rerun to retry, or allow a degraded merge): %w",
 			len(failed), n, errors.Join(failed...))
 	}
-	degraded, err := mergeDegraded(report, &opts)
+	degraded, err := shard.MergeDegradedReadable(func(path string, err error) {
+		opts.logf("fleet: degraded merge skips %s: %v", path, err)
+	}, paths...)
 	if err != nil {
 		return report, err
 	}
@@ -475,29 +450,6 @@ func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report
 		degraded.CoveredIndices, degraded.Items, 100*degraded.CoveredFraction,
 		degraded.MissingShards, degraded.IncompleteShards)
 	return report, nil
-}
-
-// mergeDegraded merges every readable partial the run left in the spool.
-func mergeDegraded(report *Report, opts *Options) (*shard.Degraded, error) {
-	var partials []*shard.Partial
-	for k := range report.Shards {
-		st := &report.Shards[k]
-		p, err := shard.ReadPartial(st.Path)
-		if err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				opts.logf("fleet: degraded merge skips %s: %v", st.Path, err)
-			}
-			continue
-		}
-		partials = append(partials, p)
-	}
-	if len(partials) == 0 {
-		return nil, fmt.Errorf("fleet: degraded merge: no readable partial frontiers")
-	}
-	sort.Slice(partials, func(i, j int) bool {
-		return partials[i].Manifest.ShardIndex < partials[j].Manifest.ShardIndex
-	})
-	return shard.MergeDegraded(partials...)
 }
 
 // runShard drives one shard through dispatches, speculation, backoff and
@@ -536,13 +488,7 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 		return st
 	}
 
-	base, maxb := c.opts.backoffBounds()
-	seed := c.opts.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed + int64(k)))
-	retries := c.opts.maxRetries()
+	backoff := supervise.NewBackoff(c.opts.MaxRetries, c.opts.BaseBackoff, c.opts.MaxBackoff, c.opts.JitterSeed, k)
 
 	avoid := ""
 	for attempt := 0; ; {
@@ -583,13 +529,13 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 			avoid = ""
 			continue
 		}
-		if attempt >= retries {
+		if attempt >= backoff.Retries {
 			st.Err = fmt.Errorf("fleet: shard %s failed after %d dispatches: %w: %w", plan, st.Dispatches, ErrRetriesExhausted, aerr)
 			return st
 		}
 		avoid = worker
 		c.retries.Add(1)
-		delay := backoffDelay(base, maxb, attempt, rng)
+		delay := backoff.Delay(attempt)
 		attempt++
 		c.opts.logf("fleet: shard %s dispatch failed (%v); retrying in %v", plan, aerr, delay)
 		select {
@@ -682,26 +628,17 @@ func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, plan
 	}
 }
 
-// quarantineFile renames the shard's spool slot aside to the first free
+// quarantineFile moves the shard's spool slot aside to the first free
 // "<path>.corrupt[.N]" name, recording it in the shard state.
 func (c *coord) quarantineFile(st *ShardState, why string) {
-	for i := 0; ; i++ {
-		qpath := st.Path + ".corrupt"
-		if i > 0 {
-			qpath = fmt.Sprintf("%s.corrupt.%d", st.Path, i)
-		}
-		if _, err := os.Stat(qpath); err == nil {
-			continue
-		}
-		if err := os.Rename(st.Path, qpath); err != nil {
-			c.opts.logf("fleet: cannot quarantine %s (%s): %v", st.Path, why, err)
-			return
-		}
-		st.Quarantined = append(st.Quarantined, qpath)
-		c.quarantines.Add(1)
-		c.opts.logf("fleet: quarantined %s (%s) to %s", st.Path, why, qpath)
+	qpath, err := shard.Quarantine(shard.OS(), st.Path, st.Path+".corrupt")
+	if err != nil {
+		c.opts.logf("fleet: cannot quarantine %s (%s): %v", st.Path, why, err)
 		return
 	}
+	st.Quarantined = append(st.Quarantined, qpath)
+	c.quarantines.Add(1)
+	c.opts.logf("fleet: quarantined %s (%s) to %s", st.Path, why, qpath)
 }
 
 // expectedManifest builds the manifest every response for this shard
@@ -724,22 +661,4 @@ func expectedManifest(job *shard.Job) shard.Manifest {
 		CompletedThrough: lo,
 		Spec:             job.Spec,
 	}
-}
-
-// backoffDelay computes attempt k's wait: base·2^k capped at max, with
-// ±50% jitter from the shard's deterministic stream (supervise
-// semantics).
-func backoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	j := d/2 + time.Duration(rng.Int63n(int64(d)+1))
-	if j < time.Millisecond {
-		j = time.Millisecond
-	}
-	return j
 }

@@ -728,7 +728,7 @@ func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) der
 		// orphan that ResumeOrphans can finish without ever seeing the
 		// original request. Failure to write it is logged, not fatal — the
 		// derivation itself does not depend on it.
-		if err := writeSpoolSpec(dir, d, shards); err != nil {
+		if err := writeSpoolSpec(s.cfg.shardFS, dir, d, shards); err != nil {
 			s.logf("serve: writing %s in spool %s: %v", spoolSpecFile, dir, err)
 		}
 		// Membership is consulted per request, not per process: a fleet

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -36,9 +37,12 @@ type spoolSpec struct {
 }
 
 // writeSpoolSpec persists the derivation's self-description into dir
-// atomically (write-temp-then-rename), so a crash mid-write leaves
-// either no spec.json or a complete one, never a torn file.
-func writeSpoolSpec(dir string, d *derivation, shards int) error {
+// atomically and durably (shard.WriteFileAtomic over fsys), so a crash
+// mid-write leaves either no spec.json or a complete one, never a torn
+// file. Temps a killed predecessor left are swept first, so repeated
+// kills do not pile them up; the spool is single-flighted per digest, so
+// no live writer can own one.
+func writeSpoolSpec(fsys shard.FS, dir string, d *derivation, shards int) error {
 	raw, err := d.mspec.Encode()
 	if err != nil {
 		return err
@@ -52,11 +56,9 @@ func writeSpoolSpec(dir string, d *derivation, shards int) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, spoolSpecFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, spoolSpecFile))
+	path := filepath.Join(dir, spoolSpecFile)
+	_, _ = shard.SweepTemps(fsys, path+".tmp*", 0) // leftovers cost disk, never correctness
+	return shard.WriteFileAtomic(fsys, path, data)
 }
 
 // readSpoolSpec loads and sanity-checks dir's spec.json.

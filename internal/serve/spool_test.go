@@ -3,9 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,5 +216,53 @@ func TestResumeOrphansSegmentation(t *testing.T) {
 	}
 	if string(got.Curve) != string(want) {
 		t.Fatalf("recovered segmentation curve differs\n got %s\nwant %s", got.Curve, want)
+	}
+}
+
+// TestSpoolSpecWriteIsDurable: spec.json goes through the durable-write
+// primitive on the shard filesystem — the temp file is synced before the
+// rename commits it and the spool directory is synced after — and a
+// temp a killed predecessor left in the spool is swept before the write.
+func TestSpoolSpecWriteIsDurable(t *testing.T) {
+	ffs := &shard.FaultFS{}
+	spool := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 2, SpoolDir: spool, shardFS: ffs})
+	body := `{"gemm":{"m":32,"k":24,"n":16},"shards":2,"no_cache":true}`
+	status, data := postCurve(t, ts.URL, body)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	dir := filepath.Join(spool, fmt.Sprintf("%.16s", decodeEnvelope(t, data).Digest))
+	spec := filepath.Join(dir, spoolSpecFile)
+	ops := ffs.Log()
+	syncAt, renameAt, syncDirAt := -1, -1, -1
+	for i, entry := range ops {
+		switch {
+		case renameAt < 0 && strings.HasPrefix(entry, "sync "+spec+".tmp"):
+			syncAt = i
+		case entry == "rename "+spec:
+			renameAt = i
+		case renameAt >= 0 && syncDirAt < 0 && entry == "syncdir "+dir:
+			syncDirAt = i
+		}
+	}
+	if syncAt < 0 || renameAt < syncAt || syncDirAt < renameAt {
+		t.Fatalf("spec.json write not sync → rename → syncdir (sync %d, rename %d, syncdir %d):\n%s",
+			syncAt, renameAt, syncDirAt, strings.Join(ops, "\n"))
+	}
+
+	// A leftover temp of a killed write is swept by the next spec write.
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := spec + ".tmp42"
+	if err := os.WriteFile(stale, []byte(`{"digest":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, data := postCurve(t, ts.URL, body); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	if !slices.Contains(ffs.Log(), "remove "+stale) {
+		t.Fatalf("stale %s not swept:\n%s", stale, strings.Join(ffs.Log(), "\n"))
 	}
 }

@@ -259,8 +259,8 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 	}
 	rs, rerr := run()
 	if errors.Is(rerr, shard.ErrCorruptPartial) || errors.Is(rerr, shard.ErrForeignPartial) {
-		qpath := path + ".corrupt"
-		if qerr := os.Rename(path, qpath); qerr != nil {
+		qpath, qerr := shard.Quarantine(s.cfg.shardFS, path, path+".corrupt")
+		if qerr != nil {
 			return nil, fmt.Errorf("serve: cannot quarantine corrupt worker checkpoint: %w (cause: %v)", qerr, rerr)
 		}
 		s.logf("serve: worker shard %s: quarantined corrupt checkpoint to %s, re-deriving", plan, qpath)

@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -243,5 +246,50 @@ func TestWorkerStatsCount(t *testing.T) {
 	}
 	if st.WorkerShards != 1 {
 		t.Fatalf("worker_shards %d, want 1", st.WorkerShards)
+	}
+}
+
+// TestWorkerQuarantinesEachCorruptCheckpoint: a corrupt checkpoint
+// planted before each of two dispatches of the same shard is quarantined
+// to a fresh generation each time (<path>.corrupt, then .corrupt.1), so
+// the second quarantine never overwrites the first's evidence, and both
+// responses are byte-identical to a clean worker's.
+func TestWorkerQuarantinesEachCorruptCheckpoint(t *testing.T) {
+	e := einsum.GEMM("gemm_32x24x16", 32, 24, 16)
+	spec := workload.NewBound(e, bound.Options{})
+	plan := shard.Plan{Index: 1, Count: 2}
+	body := shardBody(t, spec, plan.Index, plan.Count)
+
+	_, clean := newTestServer(t, Config{WorkerDir: t.TempDir()})
+	status, want := postShard(t, clean.URL, body)
+	if status != http.StatusOK {
+		t.Fatalf("clean dispatch: status %d: %s", status, want)
+	}
+
+	s, ts := newTestServer(t, Config{WorkerDir: t.TempDir()})
+	job, err := spec.Compile(plan, workload.Exec{Workers: s.cfg.Workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.workerShardPath(&job, plan)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < 2; gen++ {
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("torn checkpoint %d", gen)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		status, got := postShard(t, ts.URL, body)
+		if status != http.StatusOK {
+			t.Fatalf("dispatch %d: status %d: %s", gen, status, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("dispatch %d over a corrupt checkpoint differs from a clean run\n got %s\nwant %s", gen, got, want)
+		}
+	}
+	for gen, name := range []string{path + ".corrupt", path + ".corrupt.1"} {
+		if got, err := os.ReadFile(name); err != nil || string(got) != fmt.Sprintf("torn checkpoint %d", gen) {
+			t.Fatalf("quarantine %s holds %q (err %v), want torn checkpoint %d", name, got, err, gen)
+		}
 	}
 }

@@ -235,16 +235,43 @@ func TestInjectedFailureNeverCorrupts(t *testing.T) {
 }
 
 // TestFlushSyncsFileBeforeRenameAndDirAfter pins the durability ordering
-// of the atomic checkpoint flush via the FaultFS operation log: within
-// each flush, the temp file is synced before the rename commits it, and
-// the directory is synced after.
+// of the atomic checkpoint flush, and of the WriteFileAtomic primitive
+// under it, via the FaultFS operation log: within each flush, the temp
+// file is synced before the rename commits it, and the directory is
+// synced after.
 func TestFlushSyncsFileBeforeRenameAndDirAfter(t *testing.T) {
-	ffs := &FaultFS{}
-	path := filepath.Join(t.TempDir(), "p.json")
-	if _, _, err := Run(context.Background(), syntheticJob(100, Plan{Index: 0, Count: 1}),
-		RunOptions{Path: path, CheckpointEvery: 10, FS: ffs}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		flush func(fsys FS, path string) error
+	}{
+		{"checkpoint", func(fsys FS, path string) error {
+			_, _, err := Run(context.Background(), syntheticJob(100, Plan{Index: 0, Count: 1}),
+				RunOptions{Path: path, CheckpointEvery: 10, FS: fsys})
+			return err
+		}},
+		{"WriteFileAtomic", func(fsys FS, path string) error {
+			for gen := 0; gen < 2; gen++ {
+				if err := WriteFileAtomic(fsys, path, []byte(fmt.Sprintf("generation %d\n", gen))); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := &FaultFS{}
+			if err := tc.flush(ffs, filepath.Join(t.TempDir(), "p.json")); err != nil {
+				t.Fatal(err)
+			}
+			assertFlushOrder(t, ffs)
+		})
 	}
+}
+
+// assertFlushOrder checks the FaultFS log of at least two flushes for the
+// sync → rename → directory-sync order.
+func assertFlushOrder(t *testing.T, ffs *FaultFS) {
+	t.Helper()
 	flushes := 0
 	syncedSinceTemp, renamedSinceTemp := false, false
 	for _, entry := range ffs.Log() {

@@ -14,10 +14,12 @@ type Op string
 
 // The intercepted operations, in the order a checkpoint flush performs
 // them: CreateTemp, Write, Sync, Close, Rename, SyncDir (plus ReadFile on
-// resume, Remove/Glob/Stat for cleanup, sweep and quarantine).
+// resume, Remove/Glob/Stat for cleanup and sweep, CreateExcl for the
+// quarantine-name reservation).
 const (
 	OpReadFile   Op = "readfile"
 	OpCreateTemp Op = "createtemp"
+	OpCreateExcl Op = "createexcl"
 	OpWrite      Op = "write"
 	OpSync       Op = "sync"
 	OpClose      Op = "close"
@@ -106,6 +108,18 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 	return &faultFile{fs: f, inner: file}, nil
 }
 
+// CreateExcl implements FS.
+func (f *FaultFS) CreateExcl(name string) (File, error) {
+	if err := f.check(OpCreateExcl, name); err != nil {
+		return nil, err
+	}
+	file, err := f.inner().CreateExcl(name)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{fs: f, inner: file}, nil
+}
+
 // Rename implements FS.
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if err := f.check(OpRename, newpath); err != nil {
@@ -146,7 +160,7 @@ func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
 	return f.inner().Stat(name)
 }
 
-// faultFile interposes the per-file operations of a temp file.
+// faultFile interposes the per-file operations of a created file.
 type faultFile struct {
 	fs    *FaultFS
 	inner File

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"sort"
 
 	"repro/internal/pareto"
@@ -253,5 +255,33 @@ func MergeDegradedFiles(paths ...string) (*Degraded, error) {
 		}
 		partials[i] = p
 	}
+	return MergeDegraded(partials...)
+}
+
+// MergeDegradedReadable merges best-effort (MergeDegraded) whichever of
+// the named partial-frontier files are still readable — the degraded
+// merge a supervisor or fleet coordinator runs over its slots after
+// shards failed permanently. Missing files (shards that never
+// checkpointed) are skipped silently; unreadable ones are skipped and
+// reported to skip, when non-nil. The readable partials merge in shard
+// order; with none readable the merge fails.
+func MergeDegradedReadable(skip func(path string, err error), paths ...string) (*Degraded, error) {
+	var partials []*Partial
+	for _, path := range paths {
+		p, err := ReadPartial(path)
+		if err != nil {
+			if skip != nil && !errors.Is(err, fs.ErrNotExist) {
+				skip(path, err)
+			}
+			continue
+		}
+		partials = append(partials, p)
+	}
+	if len(partials) == 0 {
+		return nil, fmt.Errorf("shard: degraded merge: no readable partial frontiers")
+	}
+	sort.Slice(partials, func(i, j int) bool {
+		return partials[i].Manifest.ShardIndex < partials[j].Manifest.ShardIndex
+	})
 	return MergeDegraded(partials...)
 }

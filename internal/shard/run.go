@@ -117,7 +117,9 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 		return nil, stats, fmt.Errorf("shard: no partial-frontier path")
 	}
 	fsys := orOS(opts.FS)
-	if swept, err := sweepStaleTemps(fsys, opts.Path); err == nil {
+	// A killed predecessor leaks exactly the "<base>.tmp*" temps of
+	// WriteFileAtomic; sibling shards' temps in the directory are spared.
+	if swept, err := SweepTemps(fsys, opts.Path+".tmp*", 0); err == nil {
 		stats.SweptTemps = len(swept)
 	}
 	lo, hi := job.Plan.Slice(job.Items)

@@ -12,8 +12,9 @@
 // surface as a wrong curve, so every entry is defended in depth:
 //
 //   - Writes are atomic and durable: temp file in the same directory,
-//     fsync the file, rename over the target, fsync the directory — the
-//     checkpoint discipline internal/shard pinned for partial frontiers.
+//     fsync the file, rename over the target, fsync the directory —
+//     shard.WriteFileAtomic, the one durable-write primitive the shard
+//     checkpoints use too.
 //     A kill mid-write leaves a stale temp (swept on Open), never a torn
 //     entry under the final name.
 //   - Reads verify before they trust: the envelope's format version,
@@ -366,30 +367,20 @@ func decodeEntry(data []byte, digest string) (*Entry, error) {
 	return &ent, nil
 }
 
-// quarantine renames an invalid entry aside to the first free
-// <digest>.corrupt[.N] name so the evidence survives and the slot frees
-// for a re-derived replacement. A quarantine that cannot rename (or
-// remove) the bad file disables the tier: leaving a known-bad entry in
-// place would re-fail every Get.
+// quarantine moves an invalid entry aside to the first free
+// <digest>.corrupt[.N] name (shard.Quarantine) so the evidence survives
+// and the slot frees for a re-derived replacement. A quarantine that
+// cannot rename (or remove) the bad file disables the tier: leaving a
+// known-bad entry in place would re-fail every Get.
 func (s *Store) quarantine(path string, cause error) {
 	s.quarantines.Add(1)
-	base := path[:len(path)-len(entrySuffix)] + corruptSuffix
-	for i := 0; i < 1000; i++ {
-		qpath := base
-		if i > 0 {
-			qpath = fmt.Sprintf("%s.%d", base, i)
-		}
-		if _, err := s.fs.Stat(qpath); err == nil {
-			continue // name taken by an earlier quarantine
-		}
-		if err := s.fs.Rename(path, qpath); err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return // a concurrent process already moved it
-			}
-			break
-		}
+	qpath, err := shard.Quarantine(s.fs, path, path[:len(path)-len(entrySuffix)]+corruptSuffix)
+	if err == nil {
 		s.log("store: quarantined corrupt entry %s -> %s: %v", path, qpath, cause)
 		return
+	}
+	if errors.Is(err, os.ErrNotExist) {
+		return // a concurrent process already moved it
 	}
 	if err := s.fs.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		s.disable(fmt.Errorf("cannot quarantine or remove corrupt entry %s: %w", path, err))
@@ -468,33 +459,11 @@ func encodeEntry(digest string, ent *Entry) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// write lands data under digest with the atomic-and-durable discipline:
-// temp in the same directory, fsync file, rename, fsync directory.
+// write lands data under digest atomically and durably
+// (shard.WriteFileAtomic).
 func (s *Store) write(digest string, data []byte) error {
-	path := s.entryPath(digest)
-	tmp, err := s.fs.CreateTemp(s.dir, digest+entrySuffix+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: writing %s: %w", path, err)
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		// Data must be durable before the rename commits it.
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = s.fs.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("store: writing %s: %w", path, werr)
-	}
-	if err := s.fs.Rename(tmp.Name(), path); err != nil {
-		_ = s.fs.Remove(tmp.Name())
-		return fmt.Errorf("store: committing %s: %w", path, err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("store: syncing %s: %w", s.dir, err)
+	if err := shard.WriteFileAtomic(s.fs, s.entryPath(digest), data); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
@@ -504,24 +473,12 @@ func (s *Store) write(digest string, data []byte) error {
 // Rename. Fresh temps are spared: a concurrent Put in another process
 // is about to rename its temp, and sweeping it would fail that Put.
 func (s *Store) sweepStaleTemps() {
-	matches, err := s.fs.Glob(filepath.Join(s.dir, "*"+entrySuffix+".tmp*"))
-	if err != nil {
-		s.log("store: sweeping stale temps: %v", err)
-		return
-	}
-	cutoff := time.Now().Add(-s.tempAge)
-	for _, m := range matches {
-		if s.tempAge > 0 {
-			fi, err := s.fs.Stat(m)
-			if err != nil || fi.ModTime().After(cutoff) {
-				continue
-			}
-		}
-		if err := s.fs.Remove(m); err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.log("store: sweeping stale temp %s: %v", m, err)
-			continue
-		}
+	swept, err := shard.SweepTemps(s.fs, filepath.Join(s.dir, "*"+entrySuffix+".tmp*"), s.tempAge)
+	for _, m := range swept {
 		s.log("store: swept stale temp %s", m)
+	}
+	if err != nil {
+		s.log("store: %v", err)
 	}
 }
 

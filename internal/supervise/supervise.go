@@ -26,11 +26,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -113,18 +111,30 @@ func (o *Options) logf(format string, args ...any) {
 	}
 }
 
-func (o *Options) maxRetries() int {
-	switch {
-	case o.MaxRetries == 0:
-		return DefaultMaxRetries
-	case o.MaxRetries < 0:
-		return 0
-	}
-	return o.MaxRetries
+// Backoff is one shard's retry schedule — the policy the supervisor and
+// the fleet coordinator share: a retry budget beyond the first attempt,
+// and exponential backoff between attempts with deterministic jitter.
+type Backoff struct {
+	// Retries is the retry budget beyond the first attempt.
+	Retries int
+
+	base, max time.Duration
+	rng       *rand.Rand
 }
 
-func (o *Options) backoffBounds() (base, max time.Duration) {
-	base, max = o.BaseBackoff, o.MaxBackoff
+// NewBackoff resolves shard k's schedule from the Options retry fields:
+// maxRetries 0 means DefaultMaxRetries and negative means no retries;
+// non-positive base and max pick DefaultBaseBackoff and
+// DefaultMaxBackoff; seed 0 means 1. Each shard draws from its own
+// jitter stream, so reruns with the same seed reproduce the same
+// schedule and shards do not thundering-herd.
+func NewBackoff(maxRetries int, base, max time.Duration, seed int64, k int) *Backoff {
+	switch {
+	case maxRetries == 0:
+		maxRetries = DefaultMaxRetries
+	case maxRetries < 0:
+		maxRetries = 0
+	}
 	if base <= 0 {
 		base = DefaultBaseBackoff
 	}
@@ -134,7 +144,16 @@ func (o *Options) backoffBounds() (base, max time.Duration) {
 	if max < base {
 		max = base
 	}
-	return base, max
+	if seed == 0 {
+		seed = 1
+	}
+	return &Backoff{Retries: maxRetries, base: base, max: max, rng: rand.New(rand.NewSource(seed + int64(k)))}
+}
+
+// Delay is the wait after the given failed attempt (0-based): about
+// base·2^attempt, capped at max, with ±50% jitter.
+func (b *Backoff) Delay(attempt int) time.Duration {
+	return backoffDelay(b.base, b.max, attempt, b.rng)
 }
 
 // ShardState reports what the supervisor did for one shard.
@@ -221,16 +240,15 @@ func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), 
 	}
 
 	var failed []string
+	paths := make([]string, n)
 	for k := range report.Shards {
-		if st := &report.Shards[k]; !st.Completed {
+		st := &report.Shards[k]
+		if !st.Completed {
 			failed = append(failed, fmt.Sprintf("shard %s: %v", st.Plan, st.Err))
 		}
+		paths[k] = st.Path
 	}
 	if len(failed) == 0 {
-		paths := make([]string, n)
-		for k := range paths {
-			paths[k] = report.Shards[k].Path
-		}
 		curve, err := shard.MergeFiles(paths...)
 		if err != nil {
 			return report, fmt.Errorf("supervise: final merge: %w", err)
@@ -243,7 +261,9 @@ func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), 
 			len(failed), n, strings.Join(failed, "\n  "))
 	}
 
-	degraded, err := mergeDegraded(report, &opts)
+	degraded, err := shard.MergeDegradedReadable(func(path string, err error) {
+		opts.logf("supervise: degraded merge skips %s: %v", path, err)
+	}, paths...)
 	if err != nil {
 		return report, err
 	}
@@ -252,29 +272,6 @@ func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), 
 		degraded.CoveredIndices, degraded.Items, 100*degraded.CoveredFraction,
 		degraded.MissingShards, degraded.IncompleteShards)
 	return report, nil
-}
-
-// mergeDegraded merges every readable partial the run left behind.
-func mergeDegraded(report *Report, opts *Options) (*shard.Degraded, error) {
-	var partials []*shard.Partial
-	for k := range report.Shards {
-		st := &report.Shards[k]
-		p, err := shard.ReadPartial(st.Path)
-		if err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				opts.logf("supervise: degraded merge skips %s: %v", st.Path, err)
-			}
-			continue
-		}
-		partials = append(partials, p)
-	}
-	if len(partials) == 0 {
-		return nil, fmt.Errorf("supervise: degraded merge: no readable partial frontiers")
-	}
-	sort.Slice(partials, func(i, j int) bool {
-		return partials[i].Manifest.ShardIndex < partials[j].Manifest.ShardIndex
-	})
-	return shard.MergeDegraded(partials...)
 }
 
 // superviseShard drives one shard through attempts, backoff, and
@@ -287,15 +284,7 @@ func superviseShard(ctx context.Context, plan shard.Plan, mkJob func(shard.Plan)
 		st.Err = fmt.Errorf("supervise: building job for shard %s: %w", plan, err)
 		return st
 	}
-	base, maxb := opts.backoffBounds()
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
-	// Per-shard deterministic jitter stream: reruns with the same seed
-	// reproduce the same schedule, and shards do not thundering-herd.
-	rng := rand.New(rand.NewSource(seed + int64(plan.Index)))
-	retries := opts.maxRetries()
+	backoff := NewBackoff(opts.MaxRetries, opts.BaseBackoff, opts.MaxBackoff, opts.JitterSeed, plan.Index)
 
 	for attempt := 0; ; attempt++ {
 		actx := ctx
@@ -338,7 +327,7 @@ func superviseShard(ctx context.Context, plan shard.Plan, mkJob func(shard.Plan)
 		if errors.Is(err, shard.ErrCorruptPartial) || errors.Is(err, shard.ErrForeignPartial) {
 			// The checkpoint file itself is the problem: quarantine it so
 			// the evidence survives, then re-derive the slice fresh.
-			qpath, qerr := quarantine(opts, st.Path)
+			qpath, qerr := shard.Quarantine(opts.FS, st.Path, st.Path+".corrupt")
 			if qerr != nil {
 				st.Err = fmt.Errorf("supervise: shard %s: cannot quarantine corrupt checkpoint: %w (cause: %v)", plan, qerr, err)
 				return st
@@ -346,11 +335,11 @@ func superviseShard(ctx context.Context, plan shard.Plan, mkJob func(shard.Plan)
 			st.Quarantined = append(st.Quarantined, qpath)
 			opts.logf("supervise: shard %s: quarantined corrupt checkpoint to %s, re-deriving", plan, qpath)
 		}
-		if attempt >= retries {
+		if attempt >= backoff.Retries {
 			st.Err = fmt.Errorf("supervise: shard %s failed after %d attempts: %w", plan, st.Attempts, err)
 			return st
 		}
-		delay := backoffDelay(base, maxb, attempt, rng)
+		delay := backoff.Delay(attempt)
 		opts.logf("supervise: shard %s attempt %d failed (%v); retrying in %v", plan, st.Attempts, err, delay)
 		select {
 		case <-time.After(delay):
@@ -378,29 +367,4 @@ func backoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Dur
 		j = time.Millisecond
 	}
 	return j
-}
-
-// quarantine renames a corrupt checkpoint aside to the first free
-// "<path>.corrupt[.N]" name, preserving the evidence while clearing the
-// slot for re-derivation.
-func quarantine(opts *Options, path string) (string, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = shard.OS()
-	}
-	for i := 0; ; i++ {
-		qpath := path + ".corrupt"
-		if i > 0 {
-			qpath = fmt.Sprintf("%s.corrupt.%d", path, i)
-		}
-		if _, err := fsys.Stat(qpath); err == nil {
-			continue // name taken by an earlier quarantine
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return "", err
-		}
-		if err := fsys.Rename(path, qpath); err != nil {
-			return "", err
-		}
-		return qpath, nil
-	}
 }

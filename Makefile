@@ -9,10 +9,13 @@ RACE_PKGS := ./internal/bound ./internal/pareto ./internal/fusion \
              ./internal/workload ./internal/fleet ./internal/cliutil \
              ./internal/store
 
-# The fault-injection and supervision suites: every scripted I/O failure,
-# kill and cancellation must end in a successful retry or a named,
-# resumable error — never a corrupt artifact. Backoffs in these tests are
-# already shortened to milliseconds.
+# The fault-injection suites: every scripted I/O failure, kill and
+# cancellation must end in a successful retry or a named, resumable
+# error — never a corrupt artifact. Backoffs in these tests are already
+# shortened to milliseconds. The supervision suite (in-process shard
+# coordination: retries, quarantine, interrupt-and-resume, degraded
+# merges) runs with the coordinator in ./internal/fleet, under `make
+# fleet` with -race; ./internal/supervise keeps the retry-schedule test.
 ROBUST_PKGS := ./internal/shard ./internal/supervise ./internal/traverse
 
 .PHONY: all vet build test race robust serve fleet chaos store perfbench-smoke bench-json docs ci
@@ -57,11 +60,13 @@ robust:
 serve:
 	go test -race -count=1 ./internal/serve
 
-# The distributed-fleet suite under the race detector: coordinator
-# dispatch and allocation, bounded retries with retry-elsewhere, digest
-# quarantine, speculative re-execution, kill-a-worker and
-# kill-the-coordinator parity, and degraded merges (see
-# docs/fleet-protocol.md).
+# The shard-coordinator suite under the race detector, both transports:
+# in-process supervision (transient-fault parity, interrupt-and-resume,
+# corrupt-slot quarantine, non-retryable inner cancellation, attempt
+# timeouts), HTTP dispatch and allocation, bounded retries with
+# retry-elsewhere, digest quarantine, speculative re-execution,
+# kill-a-worker and kill-the-coordinator parity, cross-transport resume,
+# and degraded merges (see docs/fleet-protocol.md).
 fleet:
 	go test -race -count=1 ./internal/fleet
 

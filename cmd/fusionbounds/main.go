@@ -101,17 +101,12 @@ func main() {
 			Stats:     *stats,
 			Summarize: func(c *pareto.Curve) { summarize(name, c) },
 		}
-		if sf.Fleet != "" {
+		if sf.Supervise > 0 || sf.Fleet != "" {
 			cliutil.RunFleet(cfg, sf, spec, *workers)
 			return
 		}
 		exec := workload.Exec{Workers: *workers}
-		mkJob := func(p shard.Plan) (shard.Job, error) { return spec.Compile(p, exec) }
-		if sf.Supervise > 0 {
-			cliutil.RunSupervised(cfg, sf, mkJob)
-			return
-		}
-		cliutil.RunShard(cfg, sf, mkJob)
+		cliutil.RunShard(cfg, sf, func(p shard.Plan) (shard.Job, error) { return spec.Compile(p, exec) })
 		return
 	}
 	a, err := orojenesis.AnalyzeChain(chain, opts)

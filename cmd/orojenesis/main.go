@@ -100,17 +100,12 @@ func main() {
 		// directly, so every checkpoint manifest embeds the spec and
 		// stays resumable by shardmerge -resume alone.
 		spec := workload.NewBound(e, opts)
-		if sf.Fleet != "" {
+		if sf.Supervise > 0 || sf.Fleet != "" {
 			cliutil.RunFleet(cfg, sf, spec, *workers)
 			return
 		}
 		exec := workload.Exec{Workers: *workers}
-		mkJob := func(p shard.Plan) (shard.Job, error) { return spec.Compile(p, exec) }
-		if sf.Supervise > 0 {
-			cliutil.RunSupervised(cfg, sf, mkJob)
-			return
-		}
-		cliutil.RunShard(cfg, sf, mkJob)
+		cliutil.RunShard(cfg, sf, func(p shard.Plan) (shard.Job, error) { return spec.Compile(p, exec) })
 		return
 	}
 	var a *orojenesis.Analysis

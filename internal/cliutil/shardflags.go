@@ -15,7 +15,6 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/shard"
 	"repro/internal/store"
-	"repro/internal/supervise"
 	"repro/internal/workload"
 )
 
@@ -24,7 +23,7 @@ import (
 // -shard k/N, a whole supervised run with -supervise N, or a distributed
 // run with -supervise N -fleet URL,... dispatching shards to remote
 // workers, plus the knobs the modes share. Register it with
-// AddShardFlags; dispatch with RunShard / RunSupervised / RunFleet.
+// AddShardFlags; dispatch with RunShard / RunFleet.
 type ShardFlags struct {
 	// Shard is the "k/N" plan of a single-slice run ("" = off).
 	Shard string
@@ -153,71 +152,24 @@ func RunShard(cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (shard.J
 	fmt.Printf("partial frontier: %d points -> %s\n", p.Curve.Len(), f.Out)
 }
 
-// RunSupervised derives all N shards of the job's index space under one
-// supervisor (the -supervise N -shard-dir DIR mode): retried with
-// backoff on transient failures, corrupt checkpoints quarantined and
-// re-derived, SIGINT/SIGTERM resumable by rerunning. The merged curve —
-// exact, or degraded under -allow-partial — is summarized and optionally
-// written to -out.
-func RunSupervised(cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (shard.Job, error)) {
-	if f.ShardDir == "" {
-		log.Fatal("-supervise requires -shard-dir DIR for the per-shard checkpoint files")
-	}
-	if err := os.MkdirAll(f.ShardDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	ctx, stop := signalContext()
-	defer stop()
-	sopts := supervise.Options{
-		Dir:             f.ShardDir,
-		CheckpointEvery: f.Checkpoint,
-		MaxRetries:      f.Retries,
-		AllowPartial:    f.AllowPartial,
-		Logf:            log.Printf,
-	}
-	if cfg.Stats {
-		sopts.OnCheckpoint = func(m shard.Manifest) {
-			fmt.Printf("checkpoint: shard %d/%d at %d / %d %s\n",
-				m.ShardIndex+1, m.ShardCount, m.CompletedThrough-m.RangeLo, m.RangeHi-m.RangeLo, cfg.IndexNoun)
-		}
-	}
-	report, err := supervise.Run(ctx, f.Supervise, mkJob, sopts)
-	if report != nil && report.Interrupted {
-		log.Printf("interrupted; shard checkpoints flushed under %s — rerun the same command to resume", f.ShardDir)
-		os.Exit(130)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println(cfg.Header)
-	var attempts int
-	for _, st := range report.Shards {
-		attempts += st.Attempts
-		for _, q := range st.Quarantined {
-			fmt.Printf("shard %s: quarantined corrupt checkpoint -> %s\n", st.Plan, q)
-		}
-	}
-	fmt.Printf("supervised %d shards in %d attempts\n", f.Supervise, attempts)
-	emitMerged(cfg, f, report.Curve, report.Degraded)
-}
-
-// RunFleet dispatches all N shards of a materialized workload Spec to
-// remote workers over HTTP (the -fleet URL,... mode layered on
-// -supervise N -shard-dir DIR; see docs/fleet-protocol.md): the
-// coordinator policy of internal/fleet — per-worker caps, retries with
-// backoff, quarantine of invalid responses — over the same spool layout
-// as RunSupervised, so an interrupted run resumes by rerunning and the
-// merged curve is byte-identical to deriving locally.
+// RunFleet derives all N shards of a workload Spec under the one shard
+// coordinator (internal/fleet) — the -supervise N -shard-dir DIR mode,
+// in-process, or with -fleet URL,... dispatched to remote workers over
+// HTTP (docs/fleet-protocol.md): retried with backoff on transient
+// failures, corrupt checkpoints and invalid responses quarantined, and
+// SIGINT/SIGTERM resumable by rerunning — with or without -fleet, since
+// both transports share one spool layout. The merged curve — exact, or
+// degraded under -allow-partial — is summarized and optionally written
+// to -out.
 func RunFleet(cfg ShardRunConfig, f *ShardFlags, spec *workload.Spec, workers int) {
 	if f.Supervise <= 0 {
 		log.Fatal("-fleet requires -supervise N (the shard count to dispatch)")
 	}
 	if f.ShardDir == "" {
-		log.Fatal("-fleet requires -shard-dir DIR for the spooled partial frontiers")
+		log.Fatal("-supervise requires -shard-dir DIR for the per-shard checkpoint files")
 	}
 	urls := ParseWorkerURLs(f.Fleet)
-	if len(urls) == 0 {
+	if f.Fleet != "" && len(urls) == 0 {
 		log.Fatal("-fleet lists no worker URLs")
 	}
 	ctx, stop := signalContext()
@@ -227,7 +179,7 @@ func RunFleet(cfg ShardRunConfig, f *ShardFlags, spec *workload.Spec, workers in
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := fleet.Run(ctx, mspec, f.Supervise, fleet.Options{
+	opts := fleet.Options{
 		Workers:         urls,
 		Dir:             f.ShardDir,
 		MaxRetries:      f.Retries,
@@ -240,9 +192,16 @@ func RunFleet(cfg ShardRunConfig, f *ShardFlags, spec *workload.Spec, workers in
 		},
 		Exec: exec,
 		Logf: log.Printf,
-	})
+	}
+	if cfg.Stats {
+		opts.OnCheckpoint = func(m shard.Manifest) {
+			fmt.Printf("checkpoint: shard %d/%d at %d / %d %s\n",
+				m.ShardIndex+1, m.ShardCount, m.CompletedThrough-m.RangeLo, m.RangeHi-m.RangeLo, cfg.IndexNoun)
+		}
+	}
+	report, err := fleet.Run(ctx, mspec, f.Supervise, opts)
 	if report != nil && report.Interrupted {
-		log.Printf("interrupted; completed shard partials are spooled under %s — rerun the same command to resume", f.ShardDir)
+		log.Printf("interrupted; shard checkpoints flushed and completed partials spooled under %s — rerun the same command to resume", f.ShardDir)
 		os.Exit(130)
 	}
 	if err != nil {
@@ -250,20 +209,21 @@ func RunFleet(cfg ShardRunConfig, f *ShardFlags, spec *workload.Spec, workers in
 	}
 
 	fmt.Println(cfg.Header)
+	var attempts int
 	for _, st := range report.Shards {
+		attempts += st.Dispatches
 		for _, q := range st.Quarantined {
-			fmt.Printf("shard %s: quarantined invalid response/partial -> %s\n", st.Plan, q)
+			fmt.Printf("shard %s: quarantined -> %s\n", st.Plan, q)
 		}
 	}
-	fmt.Printf("fleet of %d workers derived %d shards in %d dispatches (%d retries, %d speculations, %d deferrals)\n",
-		len(urls), f.Supervise, report.Dispatches, report.Retries, report.Speculations, report.Deferrals)
-	emitMerged(cfg, f, report.Curve, report.Degraded)
-}
+	if len(urls) == 0 {
+		fmt.Printf("supervised %d shards in %d attempts\n", f.Supervise, attempts)
+	} else {
+		fmt.Printf("fleet of %d workers derived %d shards in %d dispatches (%d retries, %d speculations, %d deferrals)\n",
+			len(urls), f.Supervise, report.Dispatches, report.Retries, report.Speculations, report.Deferrals)
+	}
 
-// emitMerged renders a sharded run's merged result — exact curve or
-// annotated degraded envelope — and writes -out; the shared tail of
-// RunSupervised and RunFleet.
-func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded *shard.Degraded) {
+	curve, degraded := report.Curve, report.Degraded
 	if degraded != nil {
 		curve = degraded.Curve
 		fmt.Printf("DEGRADED curve: covers %d of %d indices (%.2f%%); missing shards %v, incomplete %v\n",
@@ -273,7 +233,6 @@ func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded
 	if cfg.Summarize != nil {
 		cfg.Summarize(curve)
 	}
-
 	if f.Out != "" {
 		// A degraded result is serialized only inside its annotated
 		// envelope, never as a bare curve.
@@ -294,15 +253,15 @@ func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded
 
 // RunSpec loads a serialized workload Spec (see docs/workload-spec.md)
 // and runs it under the shared shard flags: in-process by default, one
-// shard slice with -shard, a supervised fleet with -supervise. This is
-// the -spec FILE mode of the derivation CLIs — any CLI can run any kind,
-// because everything after decoding is registry dispatch. st, when
-// non-nil, is the durable curve store the in-process path checks and
-// populates (StoreRun); sharded modes ignore it — their unit of
-// persistence is the per-shard checkpoint, and their merged curves reach
-// the store when a server or in-process run derives them. summarize,
-// when non-nil, renders the final curve's summary table with the Spec's
-// kind as the series name.
+// shard slice with -shard, all shards under the coordinator with
+// -supervise (and -fleet). This is the -spec FILE mode of the derivation
+// CLIs — any CLI can run any kind, because everything after decoding is
+// registry dispatch. st, when non-nil, is the durable curve store the
+// in-process path checks and populates (StoreRun); sharded modes ignore
+// it — their unit of persistence is the per-shard checkpoint, and their
+// merged curves reach the store when a server or in-process run derives
+// them. summarize, when non-nil, renders the final curve's summary table
+// with the Spec's kind as the series name.
 func RunSpec(path string, f *ShardFlags, st *store.Store, workers int, stats bool, summarize func(name string, c *pareto.Curve)) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -335,16 +294,11 @@ func RunSpec(path string, f *ShardFlags, st *store.Store, workers int, stats boo
 		if err != nil {
 			log.Fatal(err)
 		}
-		if f.Fleet != "" {
+		if f.Supervise > 0 || f.Fleet != "" {
 			RunFleet(cfg, f, mspec, workers)
 			return
 		}
-		mkJob := func(p shard.Plan) (shard.Job, error) { return mspec.Compile(p, exec) }
-		if f.Supervise > 0 {
-			RunSupervised(cfg, f, mkJob)
-			return
-		}
-		RunShard(cfg, f, mkJob)
+		RunShard(cfg, f, func(p shard.Plan) (shard.Job, error) { return mspec.Compile(p, exec) })
 		return
 	}
 

@@ -120,10 +120,10 @@ const maxErrorBody = 64 << 10
 // post runs one dispatch: POST the spec and plan slot to worker's
 // /v1/shard, then validate the response against the locally built
 // expected manifest before anything is trusted. Returns the validated
-// partial; or the path of a quarantined invalid response plus a
+// partial-frontier file bytes; or the path of a quarantined invalid response plus a
 // retryable error; or a *PermanentError for deterministic rejections; or
 // the context error when cancelled.
-func (c *coord) post(ctx context.Context, slotPath string, plan shard.Plan, expected *shard.Manifest, worker string) (*shard.Partial, string, error) {
+func (c *coord) post(ctx context.Context, slotPath string, plan shard.Plan, expected *shard.Manifest, worker string) ([]byte, string, error) {
 	if c.opts.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.AttemptTimeout)
@@ -183,12 +183,11 @@ func (c *coord) post(ctx context.Context, slotPath string, plan shard.Plan, expe
 		}
 		return nil, "", fmt.Errorf("fleet: reading response from %s: %w", worker, err)
 	}
-	p, verr := validatePartial(data, plan, expected)
-	if verr != nil {
+	if verr := validatePartial(data, plan, expected); verr != nil {
 		qpath := c.quarantineBytes(slotPath, data)
 		return nil, qpath, fmt.Errorf("%w from %s: %v", ErrInvalidResponse, worker, verr)
 	}
-	return p, "", nil
+	return data, "", nil
 }
 
 // validatePartial parses and validates response bytes against the
@@ -197,27 +196,27 @@ func (c *coord) post(ctx context.Context, slotPath string, plan shard.Plan, expe
 // digests, space size, shard count), the right shard slot, completeness,
 // and a present curve. Exactly the checks a merge would apply, applied
 // before the bytes can touch the spool.
-func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) (*shard.Partial, error) {
+func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) error {
 	var p shard.Partial
 	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("parsing partial: %w", err)
+		return fmt.Errorf("parsing partial: %w", err)
 	}
 	if err := p.Manifest.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := expected.CompatibleWith(&p.Manifest); err != nil {
-		return nil, fmt.Errorf("digest mismatch: %v", err)
+		return fmt.Errorf("digest mismatch: %v", err)
 	}
 	if p.Manifest.ShardIndex != plan.Index {
-		return nil, fmt.Errorf("shard %d/%d answered for slot %s", p.Manifest.ShardIndex+1, p.Manifest.ShardCount, plan)
+		return fmt.Errorf("shard %d/%d answered for slot %s", p.Manifest.ShardIndex+1, p.Manifest.ShardCount, plan)
 	}
 	if !p.Manifest.Complete() {
-		return nil, fmt.Errorf("incomplete: completed through %d of [%d, %d)", p.Manifest.CompletedThrough, p.Manifest.RangeLo, p.Manifest.RangeHi)
+		return fmt.Errorf("incomplete: completed through %d of [%d, %d)", p.Manifest.CompletedThrough, p.Manifest.RangeLo, p.Manifest.RangeHi)
 	}
 	if p.Curve == nil {
-		return nil, fmt.Errorf("missing curve")
+		return fmt.Errorf("missing curve")
 	}
-	return &p, nil
+	return nil
 }
 
 // quarantineBytes writes an invalid response's bytes to the first free
@@ -225,7 +224,7 @@ func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) (*s
 // it tried to fill. Returns the path, or "" when even that write failed
 // (logged; the dispatch error stands on its own).
 func (c *coord) quarantineBytes(slotPath string, data []byte) string {
-	qpath, err := shard.QuarantineBytes(shard.OS(), data, slotPath+".quarantine")
+	qpath, err := shard.QuarantineBytes(c.fsys, data, slotPath+".quarantine")
 	if err != nil {
 		c.opts.logf("fleet: cannot quarantine invalid response: %v", err)
 		return ""

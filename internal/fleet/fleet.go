@@ -1,24 +1,40 @@
-// Package fleet distributes a sharded bound derivation across worker
-// processes over HTTP — the step from "one big machine" to "fleet". It
-// is the coordinator half of the wire protocol in docs/fleet-protocol.md:
-// the worker half is the POST /v1/shard endpoint internal/serve mounts.
+// Package fleet is the one shard coordinator of the repository: it runs
+// every shard of a sharded bound derivation to completion and merges the
+// result, either in-process or distributed across worker processes over
+// HTTP — the step from "one big machine" to "fleet". For the HTTP
+// transport it is the coordinator half of the wire protocol in
+// docs/fleet-protocol.md: the worker half is the POST /v1/shard endpoint
+// internal/serve mounts.
 //
 // The coordinator decomposes a compiled workload.Spec into the same
 // deterministic shard plan a single process would use (shard.Plan over
-// the flat enumeration space), dispatches each slice to a peer worker,
-// and owns the supervise-style reliability policy around the dispatches:
+// the flat enumeration space) and drives each slice through one
+// per-shard loop: a spool slot (supervise.ShardPath under Options.Dir),
+// bounded retries with exponential backoff and deterministic jitter
+// (supervise.Backoff), per-attempt deadlines, quarantine of corrupt or
+// foreign slots to "<slot>.corrupt[.N]", interrupt-and-resume, and an
+// exact or — under Options.AllowPartial — annotated degraded merge. The
+// transport is chosen per run:
+//
+//   - In-process. With no workers (Options.Workers empty and no members
+//     in Options.Registry), each attempt is RunSlot: shard.Run
+//     checkpointing straight into the spool slot, resuming an incomplete
+//     compatible slot. At most min(n, GOMAXPROCS) shards derive at once
+//     — each shard's own traversal already parallelizes. A derivation
+//     that reports cancellation its own attempt deadline did not cause
+//     is external intent and is not retried.
+//   - HTTP. Each attempt POSTs the slice to a worker and validates the
+//     response before it may touch the spool.
+//
+// Around HTTP dispatches the coordinator adds the fleet policy:
 //
 //   - Per-worker parallelism caps. Each worker URL holds a fixed number
 //     of dispatch slots; a shard waits for a free slot anywhere in the
 //     fleet rather than overloading one worker.
-//   - Bounded retries with backoff. A failed dispatch (network error,
-//     worker 5xx/429/503, invalid response) is retried on another worker
-//     with exponential backoff and deterministic jitter, up to a budget.
+//   - Retry elsewhere. A failed dispatch (network error, worker
+//     5xx/429/503, invalid response) is retried on another worker.
 //     Deterministic rejections (worker 4xx) are not retried: the same
 //     spec would fail the same way everywhere.
-//   - Per-attempt deadlines. A dispatch that exceeds Options.
-//     AttemptTimeout is abandoned and retried; the worker's checkpoint
-//     survives, so the retry resumes rather than restarts server-side.
 //   - Quarantine of invalid responses. A response that is not a
 //     structurally valid, complete, digest-compatible partial frontier
 //     is written aside (never to the shard's slot) and the dispatch
@@ -40,13 +56,17 @@
 //     instead of hanging. See docs/fleet-protocol.md "Health, membership
 //     & breakers".
 //
-// Completed partials land in the supervise spool layout
-// (supervise.ShardPath under Options.Dir), written atomically by
-// shard.WritePartial: a killed coordinator resumes by rerunning — or via
-// serve.ResumeOrphans / shardmerge -resume — and the final merge reuses
-// shard.MergeFiles / shard.MergeDegraded, so a fleet result is
-// byte-identical to a single-process derivation (or the same annotated
-// degraded envelope under Options.AllowPartial).
+// Both transports fill the same slots, written atomically through
+// Options.FS: a killed or interrupted run resumes by rerunning — with
+// either transport, or via serve.ResumeOrphans / shardmerge -resume —
+// and the final merge reuses shard.MergeFiles / shard.MergeDegraded, so
+// the result is byte-identical to a single-process derivation (or the
+// same annotated degraded envelope under Options.AllowPartial).
+//
+// Cancellation (SIGINT/SIGTERM via signal.NotifyContext in the CLIs)
+// reaches inside a checkpoint block: shard.Run plumbs the context through
+// the traversal engine, so an in-process run stops within about one
+// traversal worker chunk and flushes a final checkpoint.
 package fleet
 
 import (
@@ -56,7 +76,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net/http"
-	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,18 +101,23 @@ const (
 )
 
 // ErrNoWorkers is returned (wrapped) when a dispatch finds the fleet
-// membership empty — every worker removed at runtime, or none
-// configured. Shards fail with it immediately rather than waiting for a
-// join that may never come.
+// membership empty — every worker removed at runtime. Shards fail with
+// it immediately rather than waiting for a join that may never come.
 var ErrNoWorkers = errors.New("fleet: no workers in membership")
 
-// ErrRetriesExhausted marks (wrapped, alongside the last dispatch
-// error) a shard that spent its whole retry budget without a valid
-// response — the "every remaining worker is dead or lying" outcome.
-// errors.Is(err, ErrRetriesExhausted) holds for Run's error when any
-// shard failed this way and AllowPartial did not promote the run to a
-// degraded merge.
+// ErrRetriesExhausted marks (wrapped, alongside the last attempt's
+// error) a shard that spent its whole retry budget without completing —
+// for the HTTP transport, the "every remaining worker is dead or lying"
+// outcome. errors.Is(err, ErrRetriesExhausted) holds for Run's error
+// when any shard failed this way and AllowPartial did not promote the
+// run to a degraded merge.
 var ErrRetriesExhausted = errors.New("fleet: retry budget exhausted")
+
+// errNotRetryable marks an in-process attempt whose derivation reported
+// cancellation that neither the run's context nor the attempt deadline
+// caused (e.g. a server request whose waiters all left): retrying cannot
+// succeed, so the shard fails at once.
+var errNotRetryable = errors.New("fleet: cancelled from inside the derivation (not retryable)")
 
 // ShardRequest is the body of POST /v1/shard — the coordinator→worker
 // half of the fleet wire protocol (docs/fleet-protocol.md). The response
@@ -128,35 +153,38 @@ type ShardRequest struct {
 	MaxFormatVersion int `json:"max_format_version,omitempty"`
 }
 
-// Options tunes a fleet run.
+// Options tunes a coordinator run.
 type Options struct {
 	// Workers are the base URLs of the peer workers (each serving POST
-	// /v1/shard), e.g. "http://host:8080". Required, at least one.
+	// /v1/shard), e.g. "http://host:8080". With no Workers and no members
+	// in Registry, the run derives its shards in-process.
 	Workers []string
 
-	// Dir is the spool directory completed partial frontiers land in
-	// (supervise.ShardPath layout). Required.
+	// Dir is the spool directory the per-shard partial frontiers live in
+	// (supervise.ShardPath layout): checkpoint targets of in-process
+	// shards, landing slots of dispatched ones, resume sources on a
+	// rerun. Required.
 	Dir string
 
 	// PerWorker caps concurrent dispatches per worker; <= 0 means
 	// DefaultPerWorker.
 	PerWorker int
 
-	// MaxRetries is the per-shard retry budget beyond the first dispatch
-	// (supervise.Options.MaxRetries semantics: 0 means
-	// supervise.DefaultMaxRetries, negative means no retries).
+	// MaxRetries is the per-shard retry budget beyond the first attempt:
+	// 0 means supervise.DefaultMaxRetries, negative means no retries.
 	MaxRetries int
 
 	// BaseBackoff and MaxBackoff bound the exponential backoff between a
-	// shard's dispatches, with deterministic jitter seeded by JitterSeed
-	// (supervise semantics; zero values pick the supervise defaults).
+	// shard's attempts, with deterministic jitter seeded by JitterSeed
+	// (supervise.NewBackoff; zero values pick its defaults).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	JitterSeed  int64
 
-	// AttemptTimeout, when positive, bounds each dispatch; a dispatch
-	// that exceeds it is cancelled and retried. The worker's checkpoint
-	// survives the cancellation, so retries resume server-side progress.
+	// AttemptTimeout, when positive, bounds each attempt; one that
+	// exceeds it is cancelled and retried. Progress survives: an
+	// in-process shard resumes from its last checkpoint, and a worker
+	// keeps its own checkpoint for the retried dispatch.
 	AttemptTimeout time.Duration
 
 	// SpeculateAfter, when positive, launches a duplicate dispatch of a
@@ -164,17 +192,20 @@ type Options struct {
 	// the first valid response wins. Zero disables speculation.
 	SpeculateAfter time.Duration
 
-	// CheckpointEvery is forwarded to workers as the checkpoint stride.
+	// CheckpointEvery is the checkpoint stride of in-process shards
+	// (shard.RunOptions semantics), forwarded to workers for dispatched
+	// ones.
 	CheckpointEvery int64
 
-	// AllowPartial permits a degraded merge when shards fail permanently
-	// (supervise semantics): the result carries its covered index
-	// fraction instead of being refused.
+	// AllowPartial permits a degraded merge when shards fail
+	// permanently: the result carries its covered index fraction instead
+	// of being refused.
 	AllowPartial bool
 
-	// Exec configures locally compiled jobs (digest/expectation
-	// building only; no local derivation runs). Worker counts never
-	// affect results, so the zero value is fine.
+	// Exec configures the compiled shard jobs: the traversal workers of
+	// in-process shards, and the digests and expectations dispatched
+	// responses are validated against. Worker counts never affect
+	// results, so the zero value is fine.
 	Exec workload.Exec
 
 	// Client is the HTTP client dispatches use; nil means
@@ -201,9 +232,22 @@ type Options struct {
 	// registry; ignored when Options.Registry is set.
 	Breaker BreakerConfig
 
+	// FS is the filesystem every spool operation goes through — slot
+	// reads, checkpoint flushes, spooled responses, quarantines (nil =
+	// the real filesystem); the robustness suites inject faults here.
+	FS shard.FS
+
 	// Logf, when non-nil, receives human-readable progress and failure
-	// lines (retries, quarantines, speculation).
+	// lines (retries, quarantines, speculation, interrupts).
 	Logf func(format string, args ...any)
+
+	// OnCheckpoint, when non-nil, observes every checkpoint flush of
+	// every in-process shard, including each shard's final one.
+	OnCheckpoint func(shard.Manifest)
+
+	// wrapJob, when non-nil, rewrites every compiled job before its
+	// first attempt — the test seam for injecting derivation faults.
+	wrapJob func(*shard.Job)
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -231,8 +275,9 @@ type ShardState struct {
 	Plan shard.Plan
 	Path string // partial-frontier file in the spool
 
-	// Dispatches counts HTTP attempts launched for this shard, including
-	// speculative duplicates; Speculated counts just the duplicates.
+	// Dispatches counts attempts launched for this shard — in-process
+	// shard runs, or HTTP dispatches including speculative duplicates;
+	// Speculated counts just the duplicates.
 	Dispatches int
 	Speculated int
 
@@ -240,29 +285,32 @@ type ShardState struct {
 	// the worker, retried elsewhere, no retry budget spent).
 	Deferred int
 
-	// Quarantined lists files holding invalid worker responses (and
-	// corrupt pre-existing spool partials) set aside for inspection.
+	// Quarantined lists files set aside for inspection: corrupt or
+	// foreign slot contents, and invalid worker responses.
 	Quarantined []string
 
 	// Resumed reports the shard was already complete in the spool — a
-	// previous coordinator's work honored without any dispatch.
+	// previous run's work honored without deriving anything.
 	Resumed bool
 
-	// Worker is the URL whose response won (empty when Resumed or failed).
+	// Worker is the URL whose response won (empty for in-process,
+	// resumed or failed shards).
 	Worker string
 
 	Completed bool
-	// Covered is the number of enumeration indices the shard's slice
-	// spans (the coordinator does not observe worker-side evaluation
-	// counts; coverage is what it can vouch for).
-	Covered int64
+	// Evaluated is the work this run spent on the shard: for in-process
+	// shards the points shard.Run evaluated, summed over attempts; for
+	// dispatched shards the slice's index count once completed (the
+	// coordinator does not observe worker-side evaluation counts), and 0
+	// when Resumed.
+	Evaluated int64
 	// Err is the terminal error when !Completed (nil if interrupted
 	// cleanly; the shard stays resumable either way).
 	Err error
 }
 
-// Report is the outcome of a fleet run: per-shard states, totals for
-// operational telemetry, and exactly one of Curve (exact merge) or
+// Report is the outcome of a coordinator run: per-shard states, totals
+// for operational telemetry, and exactly one of Curve (exact merge) or
 // Degraded (annotated best-effort merge under AllowPartial); both nil
 // when the run was interrupted or failed.
 type Report struct {
@@ -272,8 +320,8 @@ type Report struct {
 	Interrupted bool
 
 	// Dispatches, Retries, Speculations, Quarantines and Deferrals
-	// aggregate the per-shard counts — the numbers serve feeds into
-	// /stats.
+	// aggregate the HTTP transport's per-shard counts — the numbers serve
+	// feeds into /stats; in-process runs leave them zero.
 	Dispatches   int64
 	Retries      int64
 	Speculations int64
@@ -281,17 +329,24 @@ type Report struct {
 	Deferrals    int64
 
 	// Workers is the per-worker health, breaker and throughput snapshot
-	// at the end of the run (Registry.Snapshot).
+	// at the end of an HTTP run (Registry.Snapshot).
 	Workers []WorkerStatus
 }
 
 // coord is one Run invocation's shared state.
 type coord struct {
 	spec *workload.Spec
-	data []byte // canonical spec encoding shipped in every request
 	n    int
 	opts *Options
-	reg  *Registry
+	fsys shard.FS
+
+	// reg is the HTTP transport's membership and data the canonical spec
+	// encoding shipped in every request; slots bounds concurrent
+	// in-process attempts. Exactly one transport is set up: reg == nil
+	// selects in-process execution.
+	reg   *Registry
+	data  []byte
+	slots chan struct{}
 
 	dispatches   atomic.Int64
 	retries      atomic.Int64
@@ -328,23 +383,24 @@ func (c *coord) record(worker string, elapsed time.Duration, err error) {
 	}
 }
 
-// Run dispatches an n-shard derivation of spec across the fleet and
-// merges the result. The spec must be materialized (workload.Spec.
-// Materialize) — its digests are the merge-compatibility identity every
-// worker response is validated against. Completed partials land in
+// Run derives an n-shard plan of spec to completion and merges the
+// result — in-process when the run has no workers, else by dispatching
+// the slices over HTTP. The spec must be materialized (workload.Spec.
+// Materialize): its digests are the merge-compatibility identity every
+// slot and every worker response is validated against. Partials live in
 // Options.Dir in the supervise layout; shards already complete there are
-// honored without dispatch, so rerunning after a coordinator kill
-// resumes instead of restarting. On success the report carries the exact
-// merged curve, byte-identical to a single-process derivation; permanent
-// shard failures fail the run unless Options.AllowPartial promotes the
-// outcome to a degraded merge. Cancelled runs return ctx's error with
-// Report.Interrupted set; every dispatched worker keeps its checkpoint.
+// honored without deriving, and incomplete in-process checkpoints are
+// resumed, so rerunning after an interrupt or a kill — with either
+// transport — continues instead of restarting. On success the report
+// carries the exact merged curve, byte-identical to a single-process
+// derivation; permanent shard failures fail the run unless
+// Options.AllowPartial promotes the outcome to a degraded merge.
+// Cancelled runs return ctx's error with Report.Interrupted set; every
+// in-process shard has flushed its checkpoint and every dispatched
+// worker keeps its own.
 func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fleet: shard count %d, want >= 1", n)
-	}
-	if len(opts.Workers) == 0 && opts.Registry == nil {
-		return nil, fmt.Errorf("fleet: no workers")
 	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("fleet: no spool directory")
@@ -353,44 +409,47 @@ func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report
 		return nil, fmt.Errorf("fleet: nil spec")
 	}
 	if _, _, err := spec.Digests(); err != nil {
-		return nil, fmt.Errorf("fleet: spec is not dispatchable: %w", err)
+		return nil, fmt.Errorf("fleet: spec is not shardable: %w", err)
 	}
-	data, err := spec.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encoding spec: %w", err)
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = shard.OS()
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
+	if err := fsys.MkdirAll(opts.Dir); err != nil {
+		return nil, fmt.Errorf("fleet: creating spool: %w", err)
 	}
+	c := &coord{spec: spec, n: n, opts: &opts, fsys: fsys}
 
-	reg := opts.Registry
-	if reg == nil {
-		reg = NewRegistry(opts.Workers, RegistryConfig{
-			PerWorker: opts.perWorker(),
-			Breaker:   opts.Breaker,
-			Logf:      opts.Logf,
-		})
-		if opts.ProbeInterval > 0 {
-			pctx, pcancel := context.WithCancel(ctx)
-			defer pcancel()
-			reg.StartProbing(pctx, opts.ProbeInterval, opts.client())
+	if len(opts.Workers) > 0 || (opts.Registry != nil && opts.Registry.Len() > 0) {
+		data, err := spec.Encode()
+		if err != nil {
+			return nil, fmt.Errorf("fleet: encoding spec: %w", err)
 		}
+		c.data = data
+		c.reg = opts.Registry
+		if c.reg == nil {
+			c.reg = NewRegistry(opts.Workers, RegistryConfig{
+				PerWorker: opts.perWorker(),
+				Breaker:   opts.Breaker,
+				Logf:      opts.Logf,
+			})
+			if opts.ProbeInterval > 0 {
+				pctx, pcancel := context.WithCancel(ctx)
+				defer pcancel()
+				c.reg.StartProbing(pctx, opts.ProbeInterval, opts.client())
+			}
+		} else {
+			for _, w := range opts.Workers {
+				c.reg.Add(w)
+			}
+		}
+		// Wake registry waiters when the run is cancelled, so shards
+		// blocked on a slot observe ctx promptly.
+		stopWake := context.AfterFunc(ctx, c.reg.wakeAll)
+		defer stopWake()
 	} else {
-		for _, w := range opts.Workers {
-			reg.Add(w)
-		}
+		c.slots = make(chan struct{}, min(n, runtime.GOMAXPROCS(0)))
 	}
-	c := &coord{
-		spec: spec,
-		data: data,
-		n:    n,
-		opts: &opts,
-		reg:  reg,
-	}
-	// Wake registry waiters when the run is cancelled, so shards blocked
-	// on a slot observe ctx promptly.
-	stopWake := context.AfterFunc(ctx, c.reg.wakeAll)
-	defer stopWake()
 
 	report := &Report{Shards: make([]ShardState, n)}
 	var wg sync.WaitGroup
@@ -407,11 +466,13 @@ func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report
 	report.Speculations = c.speculations.Load()
 	report.Quarantines = c.quarantines.Load()
 	report.Deferrals = c.deferrals.Load()
-	report.Workers = c.reg.Snapshot()
+	if c.reg != nil {
+		report.Workers = c.reg.Snapshot()
+	}
 
 	if err := ctx.Err(); err != nil {
 		report.Interrupted = true
-		opts.logf("fleet: interrupted; completed partials are spooled, rerun to resume")
+		opts.logf("fleet: interrupted; checkpoints flushed and completed partials spooled, rerun to resume")
 		return report, err
 	}
 
@@ -436,7 +497,7 @@ func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report
 		// Wrapping the joined shard errors keeps the sentinels reachable:
 		// errors.Is(err, ErrRetriesExhausted) and errors.Is(err,
 		// ErrNoWorkers) hold at the run level.
-		return report, fmt.Errorf("fleet: %d of %d shards failed permanently (rerun to retry, or allow a degraded merge): %w",
+		return report, fmt.Errorf("fleet: %d of %d shards failed permanently (rerun to retry, or use -allow-partial for an annotated degraded merge): %w",
 			len(failed), n, errors.Join(failed...))
 	}
 	degraded, err := shard.MergeDegradedReadable(func(path string, err error) {
@@ -452,70 +513,51 @@ func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report
 	return report, nil
 }
 
-// runShard drives one shard through dispatches, speculation, backoff and
-// quarantine until it completes, exhausts its retry budget, or the run
-// context is cancelled.
+// runShard drives one shard through its transport's attempts, backoff
+// and quarantine until it completes, exhausts its retry budget, or the
+// run context is cancelled.
 func (c *coord) runShard(ctx context.Context, k int) ShardState {
 	plan := shard.Plan{Index: k, Count: c.n}
 	st := ShardState{Plan: plan, Path: supervise.ShardPath(c.opts.Dir, k, c.n)}
 	job, err := c.spec.Compile(plan, c.opts.Exec)
 	if err != nil {
-		st.Err = fmt.Errorf("fleet: building expectation for shard %s: %w", plan, err)
+		st.Err = fmt.Errorf("fleet: compiling shard %s: %w", plan, err)
 		return st
 	}
-	expected := expectedManifest(&job)
-	st.Covered = expected.RangeHi - expected.RangeLo
-
-	// Honor spooled work first: a complete compatible partial is a
-	// previous coordinator's result; a corrupt or foreign one is
-	// quarantined so this run's winner can land cleanly.
-	switch prev, err := shard.ReadPartial(st.Path); {
-	case err == nil:
-		if cerr := expected.CompatibleWith(&prev.Manifest); cerr == nil &&
-			prev.Manifest.ShardIndex == plan.Index && prev.Manifest.Complete() {
-			st.Completed, st.Resumed = true, true
+	if c.opts.wrapJob != nil {
+		c.opts.wrapJob(&job)
+	}
+	// One transport's attempt fills the shard's spool slot or returns why
+	// not, plus the worker to avoid on the retry.
+	attempt := c.runLocal
+	if c.reg != nil {
+		if c.inspectSlot(&st, &job) {
 			return st
-		} else if cerr != nil || prev.Manifest.ShardIndex != plan.Index {
-			c.quarantineFile(&st, "foreign spool partial")
 		}
-		// Incomplete but ours: the winner's atomic WritePartial will
-		// replace it; nothing to do.
-	case errors.Is(err, fs.ErrNotExist):
-	case errors.Is(err, shard.ErrCorruptPartial):
-		c.quarantineFile(&st, "corrupt spool partial")
-	default:
-		st.Err = fmt.Errorf("fleet: inspecting spool partial %s: %w", st.Path, err)
-		return st
+		attempt = c.dispatch
 	}
-
 	backoff := supervise.NewBackoff(c.opts.MaxRetries, c.opts.BaseBackoff, c.opts.MaxBackoff, c.opts.JitterSeed, k)
 
 	avoid := ""
-	for attempt := 0; ; {
-		partial, worker, aerr := c.attemptWithSpeculation(ctx, &st, plan, &expected, avoid)
+	for try := 0; ; {
+		worker, aerr := attempt(ctx, &st, &job, avoid)
 		if aerr == nil {
-			if werr := shard.WritePartial(st.Path, partial); werr != nil {
-				st.Err = fmt.Errorf("fleet: spooling shard %s: %w", plan, werr)
-				return st
-			}
 			st.Completed = true
 			st.Worker = worker
 			return st
 		}
 		if ctx.Err() != nil {
+			// Run cancellation (signal or caller deadline): not a shard
+			// failure — the slot stays resumable.
 			st.Err = ctx.Err()
 			return st
 		}
-		if errors.Is(aerr, ErrNoWorkers) {
-			// An emptied membership fails the shard immediately: waiting
-			// would hang on a join that may never come, and retrying cannot
-			// conjure a worker.
-			st.Err = fmt.Errorf("fleet: shard %s: %w", plan, aerr)
-			return st
-		}
 		var perm *PermanentError
-		if errors.As(aerr, &perm) {
-			st.Err = fmt.Errorf("fleet: shard %s rejected deterministically: %w", plan, aerr)
+		if errors.Is(aerr, ErrNoWorkers) || errors.Is(aerr, errNotRetryable) || errors.As(aerr, &perm) {
+			// An emptied membership, a cancellation from inside the
+			// derivation, or a deterministic rejection: retrying cannot
+			// help, so fail without burning the budget.
+			st.Err = fmt.Errorf("fleet: shard %s: %w", plan, aerr)
 			return st
 		}
 		// A Retry-After deferral already held the worker (coord.record);
@@ -529,15 +571,17 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 			avoid = ""
 			continue
 		}
-		if attempt >= backoff.Retries {
-			st.Err = fmt.Errorf("fleet: shard %s failed after %d dispatches: %w: %w", plan, st.Dispatches, ErrRetriesExhausted, aerr)
+		if try >= backoff.Retries {
+			st.Err = fmt.Errorf("fleet: shard %s failed after %d attempts: %w: %w", plan, st.Dispatches, ErrRetriesExhausted, aerr)
 			return st
 		}
 		avoid = worker
-		c.retries.Add(1)
-		delay := backoff.Delay(attempt)
-		attempt++
-		c.opts.logf("fleet: shard %s dispatch failed (%v); retrying in %v", plan, aerr, delay)
+		if c.reg != nil {
+			c.retries.Add(1)
+		}
+		delay := backoff.Delay(try)
+		try++
+		c.opts.logf("fleet: shard %s attempt %d failed (%v); retrying in %v", plan, st.Dispatches, aerr, delay)
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
@@ -547,21 +591,128 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 	}
 }
 
+// runLocal is the in-process transport's attempt: RunSlot straight into
+// the spool slot under a local execution slot and the attempt deadline.
+func (c *coord) runLocal(ctx context.Context, st *ShardState, job *shard.Job, _ string) (string, error) {
+	select {
+	case c.slots <- struct{}{}:
+	case <-ctx.Done():
+		return "", ctx.Err()
+	}
+	defer func() { <-c.slots }()
+	actx, cancel := ctx, context.CancelFunc(func() {})
+	if c.opts.AttemptTimeout > 0 {
+		actx, cancel = context.WithTimeout(ctx, c.opts.AttemptTimeout)
+	}
+	st.Dispatches++
+	rs, qpath, err := RunSlot(actx, *job, shard.RunOptions{
+		Path:            st.Path,
+		CheckpointEvery: c.opts.CheckpointEvery,
+		OnCheckpoint:    c.opts.OnCheckpoint,
+		FS:              c.fsys,
+	})
+	// Whether this attempt's own deadline fired must be read before
+	// cancel() below, which would overwrite actx.Err with Canceled.
+	timedOut := c.opts.AttemptTimeout > 0 && actx.Err() != nil && ctx.Err() == nil
+	cancel()
+	st.Evaluated += rs.Evaluated
+	if qpath != "" {
+		st.Quarantined = append(st.Quarantined, qpath)
+		c.opts.logf("fleet: shard %s: quarantined corrupt checkpoint to %s, re-deriving", job.Plan, qpath)
+	}
+	if err == nil {
+		_, hi := job.Plan.Slice(job.Items)
+		st.Resumed = rs.Resumed && rs.ResumedFrom == hi
+		return "", nil
+	}
+	if !timedOut && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		return "", fmt.Errorf("%w: %w", errNotRetryable, err)
+	}
+	return "", err
+}
+
+// RunSlot is the in-process transport's attempt at one shard slice:
+// shard.Run of job into ropts.Path. When the slot holds a corrupt or
+// foreign checkpoint, that file is quarantined to the first free
+// "<path>.corrupt[.N]" name (through ropts.FS) and the slice re-derived
+// from scratch. It returns the run's statistics — Evaluated summed over
+// both runs — and the quarantine path, if any. serve's POST /v1/shard
+// worker runs its slices through it too.
+func RunSlot(ctx context.Context, job shard.Job, ropts shard.RunOptions) (shard.RunStats, string, error) {
+	_, rs, err := shard.Run(ctx, job, ropts)
+	if !errors.Is(err, shard.ErrCorruptPartial) && !errors.Is(err, shard.ErrForeignPartial) {
+		return rs, "", err
+	}
+	qpath, qerr := shard.Quarantine(ropts.FS, ropts.Path, ropts.Path+".corrupt")
+	if qerr != nil {
+		return rs, "", fmt.Errorf("fleet: cannot quarantine corrupt checkpoint %s: %w (cause: %v)", ropts.Path, qerr, err)
+	}
+	evaluated := rs.Evaluated
+	_, rs, err = shard.Run(ctx, job, ropts)
+	rs.Evaluated += evaluated
+	return rs, qpath, err
+}
+
+// inspectSlot honors spooled work before the first dispatch: a complete
+// compatible partial is a previous run's result (Resumed); a corrupt or
+// foreign one is quarantined so this run's winner can land cleanly; an
+// incomplete compatible one — an in-process checkpoint — is left for
+// the winner's atomic write to replace. It reports whether the shard is
+// already settled (resumed, or failed because the slot is unreadable).
+func (c *coord) inspectSlot(st *ShardState, job *shard.Job) bool {
+	expected := expectedManifest(job)
+	switch prev, err := shard.ReadPartialFS(c.fsys, st.Path); {
+	case err == nil:
+		if cerr := expected.CompatibleWith(&prev.Manifest); cerr == nil &&
+			prev.Manifest.ShardIndex == st.Plan.Index && prev.Manifest.Complete() {
+			st.Completed, st.Resumed = true, true
+			return true
+		} else if cerr != nil || prev.Manifest.ShardIndex != st.Plan.Index {
+			c.quarantineFile(st, "foreign spool partial")
+		}
+	case errors.Is(err, fs.ErrNotExist):
+	case errors.Is(err, shard.ErrCorruptPartial):
+		c.quarantineFile(st, "corrupt spool partial")
+	default:
+		st.Err = fmt.Errorf("fleet: inspecting spool partial %s: %w", st.Path, err)
+		return true
+	}
+	return false
+}
+
+// dispatch is the HTTP transport's attempt: one retry round of
+// dispatches (attemptWithSpeculation), then the validated winning
+// response written atomically into the spool slot. A failed spool write
+// leaves no file at the slot and is retried like any failed attempt.
+func (c *coord) dispatch(ctx context.Context, st *ShardState, job *shard.Job, avoid string) (string, error) {
+	expected := expectedManifest(job)
+	data, worker, err := c.attemptWithSpeculation(ctx, st, job.Plan, &expected, avoid)
+	if err != nil {
+		return worker, err
+	}
+	if err := shard.WriteFileAtomic(c.fsys, st.Path, data); err != nil {
+		return "", fmt.Errorf("fleet: spooling shard %s: %w", job.Plan, err)
+	}
+	st.Evaluated = expected.RangeHi - expected.RangeLo
+	return worker, nil
+}
+
 // attemptResult is one dispatch's outcome.
 type attemptResult struct {
-	partial *shard.Partial
-	worker  string
-	qpath   string // quarantine file holding an invalid response, if any
-	err     error
+	data   []byte // validated partial-frontier file bytes
+	worker string
+	qpath  string // quarantine file holding an invalid response, if any
+	err    error
 }
 
 // attemptWithSpeculation runs one retry round: a primary dispatch, plus —
 // after Options.SpeculateAfter with no result yet — at most one
 // speculative duplicate on an idle different worker. The first valid
 // response wins (the duplicate's context is cancelled; its late response
-// is discarded). Returns the winning partial and worker, or — when every
-// launched dispatch failed — the last failed worker and the first error.
-func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, plan shard.Plan, expected *shard.Manifest, avoid string) (*shard.Partial, string, error) {
+// is discarded). Returns the winning response bytes and worker, or —
+// when every launched dispatch failed — the last failed worker and the
+// first error.
+func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, plan shard.Plan, expected *shard.Manifest, avoid string) ([]byte, string, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	primary, err := c.reg.acquire(actx, avoid)
@@ -576,12 +727,12 @@ func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, plan
 		go func() {
 			defer c.reg.release(worker)
 			start := time.Now()
-			p, qpath, aerr := c.post(actx, st.Path, plan, expected, worker)
+			data, qpath, aerr := c.post(actx, st.Path, plan, expected, worker)
 			// Health accounting happens here, in the dispatch goroutine, so
 			// speculation losers' outcomes reach the breaker and the
 			// throughput estimate too.
 			c.record(worker, time.Since(start), aerr)
-			results <- attemptResult{partial: p, worker: worker, qpath: qpath, err: aerr}
+			results <- attemptResult{data: data, worker: worker, qpath: qpath, err: aerr}
 		}()
 	}
 	launch(primary)
@@ -603,7 +754,7 @@ func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, plan
 				st.Quarantined = append(st.Quarantined, r.qpath)
 			}
 			if r.err == nil {
-				return r.partial, r.worker, nil
+				return r.data, r.worker, nil
 			}
 			lastWorker = r.worker
 			if firstErr == nil {
@@ -631,7 +782,7 @@ func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, plan
 // quarantineFile moves the shard's spool slot aside to the first free
 // "<path>.corrupt[.N]" name, recording it in the shard state.
 func (c *coord) quarantineFile(st *ShardState, why string) {
-	qpath, err := shard.Quarantine(shard.OS(), st.Path, st.Path+".corrupt")
+	qpath, err := shard.Quarantine(c.fsys, st.Path, st.Path+".corrupt")
 	if err != nil {
 		c.opts.logf("fleet: cannot quarantine %s (%s): %v", st.Path, why, err)
 		return

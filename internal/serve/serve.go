@@ -50,8 +50,8 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/shard"
 	"repro/internal/store"
-	"repro/internal/supervise"
 	"repro/internal/traverse"
+	"repro/internal/workload"
 )
 
 // maxBodyBytes bounds request bodies; workload specs are tiny, so
@@ -115,7 +115,7 @@ type Config struct {
 	CheckpointEvery int64
 
 	// ShardRetries is the per-shard retry budget for spooled
-	// derivations (supervise.Options.MaxRetries semantics).
+	// derivations (fleet.Options.MaxRetries semantics).
 	ShardRetries int
 
 	// MaxShards bounds the per-request shard count; <= 0 means 64.
@@ -708,13 +708,20 @@ func (s *Server) diskPut(d *derivation, res result) {
 	}
 }
 
-// spooledDerive runs the derivation as a supervised, checkpointed shard
-// fleet in the spool directory. The subdirectory is the derivation
-// digest, so an interrupted run's partial frontiers are found — and
-// resumed, not recomputed — by any later server process given the same
-// spool. On exact success the subdirectory is removed; on cancellation
-// AND on a degraded (allow_partial) merge it is kept as the resume point,
-// so a later identical request completes the missing slices instead of
+// spooledDerive runs the derivation as a checkpointed shard plan in the
+// spool directory under the one shard coordinator (fleet.Run): shards
+// derive in-process while the fleet membership is empty and are
+// dispatched to its workers otherwise — membership is consulted per
+// request, so a fleet whose last worker left degrades to local
+// derivation and one that gained its first worker starts dispatching.
+// Because the registry outlives each run, worker health, breaker state,
+// and throughput scores learned on one request carry into the next. The
+// subdirectory is the derivation digest, so an interrupted run's partial
+// frontiers are found — and resumed, not recomputed — by any later
+// server process given the same spool, whichever transport it uses. On
+// exact success the subdirectory is removed; on cancellation AND on a
+// degraded (allow_partial) merge it is kept as the resume point, so a
+// later identical request completes the missing slices instead of
 // starting over.
 func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) deriveFn {
 	return func(ctx context.Context) (deriveOut, error) {
@@ -731,23 +738,25 @@ func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) der
 		if err := writeSpoolSpec(s.cfg.shardFS, dir, d, shards); err != nil {
 			s.logf("serve: writing %s in spool %s: %v", spoolSpecFile, dir, err)
 		}
-		// Membership is consulted per request, not per process: a fleet
-		// whose last worker was removed at runtime degrades to local
-		// supervised derivation, and one that gained its first worker
-		// starts dispatching.
-		if s.fleetReg.Len() > 0 {
-			return s.fleetDerive(ctx, d, dir, shards, allowPartial)
-		}
-		report, err := supervise.Run(ctx, shards, d.mkJob, supervise.Options{
+		report, err := fleet.Run(ctx, d.mspec, shards, fleet.Options{
+			Registry:        s.fleetReg,
 			Dir:             dir,
-			CheckpointEvery: s.cfg.CheckpointEvery,
 			MaxRetries:      s.cfg.ShardRetries,
+			SpeculateAfter:  s.cfg.FleetSpeculateAfter,
+			CheckpointEvery: s.cfg.CheckpointEvery,
 			AllowPartial:    allowPartial,
+			Exec:            workload.Exec{Workers: s.cfg.Workers},
+			Client:          s.cfg.FleetClient,
 			FS:              s.cfg.shardFS,
 			Logf:            s.cfg.Logf,
 			OnCheckpoint:    s.cfg.OnCheckpoint,
 		})
 		if report != nil {
+			s.stats.fleetDispatches.Add(report.Dispatches)
+			s.stats.fleetRetries.Add(report.Retries)
+			s.stats.fleetSpeculations.Add(report.Speculations)
+			s.stats.fleetQuarantines.Add(report.Quarantines)
+			s.stats.fleetDeferrals.Add(report.Deferrals)
 			for _, st := range report.Shards {
 				out.evaluated += st.Evaluated
 			}

@@ -223,12 +223,13 @@ func (s *Server) workerShardPath(job *shard.Job, plan shard.Plan) string {
 
 // runWorkerShard executes one dispatched shard to completion under the
 // worker spool and returns the partial-frontier file bytes. Runs on the
-// same path are serialized (lockShardPath); a corrupt or foreign
-// checkpoint left by an earlier life of this worker is quarantined aside
-// once and the slice re-derived, matching the supervisor's policy. On
-// success the checkpoint is removed — the coordinator owns the durable
-// copy from here on; a response the coordinator never received is simply
-// re-dispatched and re-derived.
+// same path are serialized (lockShardPath); the slice runs through the
+// coordinator's in-process attempt (fleet.RunSlot), so a corrupt or
+// foreign checkpoint left by an earlier life of this worker is
+// quarantined aside once and the slice re-derived — the same policy as
+// an in-process coordinator. On success the checkpoint is removed — the
+// coordinator owns the durable copy from here on; a response the
+// coordinator never received is simply re-dispatched and re-derived.
 func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.Plan, stride int64) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -248,26 +249,17 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 		return nil, err
 	}
 	start := time.Now()
-	run := func() (shard.RunStats, error) {
-		_, rs, err := shard.Run(ctx, job, shard.RunOptions{
-			Path:            path,
-			CheckpointEvery: stride,
-			OnCheckpoint:    s.cfg.OnCheckpoint,
-			FS:              s.cfg.shardFS,
-		})
-		return rs, err
-	}
-	rs, rerr := run()
-	if errors.Is(rerr, shard.ErrCorruptPartial) || errors.Is(rerr, shard.ErrForeignPartial) {
-		qpath, qerr := shard.Quarantine(s.cfg.shardFS, path, path+".corrupt")
-		if qerr != nil {
-			return nil, fmt.Errorf("serve: cannot quarantine corrupt worker checkpoint: %w (cause: %v)", qerr, rerr)
-		}
+	rs, qpath, err := fleet.RunSlot(ctx, job, shard.RunOptions{
+		Path:            path,
+		CheckpointEvery: stride,
+		OnCheckpoint:    s.cfg.OnCheckpoint,
+		FS:              s.cfg.shardFS,
+	})
+	if qpath != "" {
 		s.logf("serve: worker shard %s: quarantined corrupt checkpoint to %s, re-deriving", plan, qpath)
-		rs, rerr = run()
 	}
-	if rerr != nil {
-		return nil, rerr
+	if err != nil {
+		return nil, err
 	}
 	s.stats.evaluated.Add(rs.Evaluated)
 	s.stats.deriveNanos.Add(int64(time.Since(start)))

@@ -153,7 +153,7 @@ type deriveFn func(ctx context.Context) (deriveOut, error)
 
 // derivation is a validated, canonicalized unit of work: stable identity
 // (key, digest) for caching and single-flight, the in-process derive
-// function, and the shard-job constructor for the spooled path. Identity
+// function, and the materialized spec the spooled path shards. Identity
 // uses the same canonical encodings as the shard job builders, so a
 // spooled derivation interrupted by one server process is resumed — not
 // restarted — by the next.
@@ -164,20 +164,20 @@ type derivation struct {
 	digest string
 	space  int64
 	run    deriveFn
-	mkJob  func(shard.Plan) (shard.Job, error)
 
 	// spec is the request's workload spec; mspec is its materialized
 	// form (filled by prepare; identical to spec when nothing needed
 	// deriving). The spooled path persists mspec as the spool's
-	// spec.json, which is why mkJob and run read mspec, never spec.
+	// spec.json and shards it, which is why it and run read mspec, never
+	// spec.
 	spec  *workload.Spec
 	mspec *workload.Spec
 
 	// prepare, when non-nil, derives the derivation's inputs (e.g. the
 	// segmentation study's per-op curves) under the flight context before
-	// run or mkJob is used. It runs inside the flight — after admission,
-	// under panic containment — so input derivation is cancellable and
-	// never blocks the request handler.
+	// run or the spooled path reads mspec. It runs inside the flight —
+	// after admission, under panic containment — so input derivation is
+	// cancellable and never blocks the request handler.
 	prepare func(ctx context.Context) error
 }
 
@@ -273,10 +273,10 @@ func specFromRequest(req *Request) (*workload.Spec, error) {
 // the engine registry: cache identity from store.Identity (the shared
 // rule that keys the memory LRU, the durable curve store, the single
 // flight, and the spool directory — including segmentation's documented
-// chain-only special case), in-process run and shard-job constructor
-// from the Spec's engine, and — for Specs with underived inputs — a
-// prepare hook that materializes them under the flight context. Pinned
-// by the cross-layer identity test in identity_test.go.
+// chain-only special case), in-process run from the Spec's engine, and
+// — for Specs with underived inputs — a prepare hook that materializes
+// them under the flight context. Pinned by the cross-layer identity test
+// in identity_test.go.
 func derivationFromSpec(spec *workload.Spec, workers int) (*derivation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -315,9 +315,6 @@ func derivationFromSpec(spec *workload.Spec, workers int) (*derivation, error) {
 			return deriveOut{}, err
 		}
 		return deriveOut{curve: r.Curve, evaluated: r.Evaluated, segments: r.Segments}, nil
-	}
-	d.mkJob = func(plan shard.Plan) (shard.Job, error) {
-		return d.mspec.Compile(plan, exec)
 	}
 	return d, nil
 }

@@ -15,7 +15,7 @@ type Op string
 // The intercepted operations, in the order a checkpoint flush performs
 // them: CreateTemp, Write, Sync, Close, Rename, SyncDir (plus ReadFile on
 // resume, Remove/Glob/Stat for cleanup and sweep, CreateExcl for the
-// quarantine-name reservation).
+// quarantine-name reservation, Mkdir for spool creation).
 const (
 	OpReadFile   Op = "readfile"
 	OpCreateTemp Op = "createtemp"
@@ -28,6 +28,7 @@ const (
 	OpSyncDir    Op = "syncdir"
 	OpGlob       Op = "glob"
 	OpStat       Op = "stat"
+	OpMkdir      Op = "mkdir"
 )
 
 // FaultFS wraps an FS with scripted fault injection — the seam the
@@ -158,6 +159,14 @@ func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
 		return nil, err
 	}
 	return f.inner().Stat(name)
+}
+
+// MkdirAll implements FS.
+func (f *FaultFS) MkdirAll(dir string) error {
+	if err := f.check(OpMkdir, dir); err != nil {
+		return err
+	}
+	return f.inner().MkdirAll(dir)
 }
 
 // faultFile interposes the per-file operations of a created file.

@@ -40,6 +40,9 @@ type FS interface {
 	// Stat describes the named file (os.Stat), used by the age check of
 	// SweepTemps and the curve store's directory scan.
 	Stat(name string) (fs.FileInfo, error)
+	// MkdirAll creates a directory and any missing parents, mode 0o755
+	// (os.MkdirAll), used for the fleet coordinator's spool.
+	MkdirAll(dir string) error
 }
 
 // File is the writable handle CreateTemp and CreateExcl return: enough
@@ -103,6 +106,8 @@ func (osFS) SyncDir(dir string) error {
 func (osFS) Glob(pattern string) ([]string, error) { return filepath.Glob(pattern) }
 
 func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
+
+func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
 // orOS resolves a possibly-nil FS option to the real filesystem.
 func orOS(fsys FS) FS {

@@ -260,8 +260,8 @@ func MergeDegradedFiles(paths ...string) (*Degraded, error) {
 
 // MergeDegradedReadable merges best-effort (MergeDegraded) whichever of
 // the named partial-frontier files are still readable — the degraded
-// merge a supervisor or fleet coordinator runs over its slots after
-// shards failed permanently. Missing files (shards that never
+// merge the shard coordinator runs over its slots after shards failed
+// permanently. Missing files (shards that never
 // checkpointed) are skipped silently; unreadable ones are skipped and
 // reported to skip, when non-nil. The readable partials merge in shard
 // order; with none readable the merge fails.

@@ -8,7 +8,7 @@ import (
 	"repro/internal/pareto"
 )
 
-// Named error classes the supervisor (internal/supervise) routes on.
+// Named error classes the shard coordinator (internal/fleet) routes on.
 // Every failure Run or ReadPartial reports wraps exactly one of these (or
 // a context error), so callers can decide between quarantine-and-rederive,
 // retry, and give-up with errors.Is instead of string matching.
@@ -208,12 +208,12 @@ func writePartial(fsys FS, path string, p *Partial) error {
 // wrapping ErrCorruptPartial; a missing file yields the underlying
 // fs.ErrNotExist.
 func ReadPartial(path string) (*Partial, error) {
-	return readPartial(osFS{}, path)
+	return ReadPartialFS(nil, path)
 }
 
-// readPartial is ReadPartial over an injectable filesystem.
-func readPartial(fsys FS, path string) (*Partial, error) {
-	data, err := fsys.ReadFile(path)
+// ReadPartialFS is ReadPartial over fsys (nil = the real filesystem).
+func ReadPartialFS(fsys FS, path string) (*Partial, error) {
+	data, err := orOS(fsys).ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading partial: %w", err)
 	}

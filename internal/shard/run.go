@@ -143,14 +143,15 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 	}
 
 	var acc *pareto.Curve
-	prev, err := readPartial(fsys, opts.Path)
+	prev, err := ReadPartialFS(fsys, opts.Path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		// Fresh start: no checkpoint yet.
 	case err != nil:
 		// An unreadable checkpoint is evidence of a problem (corruption,
 		// wrong file); overwriting it would destroy that evidence. The
-		// supervisor quarantines it (rename to *.corrupt) and re-derives.
+		// shard coordinator quarantines it (rename to *.corrupt) and
+		// re-derives.
 		if !errors.Is(err, ErrCorruptPartial) {
 			err = fmt.Errorf("%w: %w", ErrCorruptPartial, err)
 		}

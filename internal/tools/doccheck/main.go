@@ -6,9 +6,10 @@
 //     facade) has a package doc comment, so each package states which
 //     paper section or figure it reproduces.
 //  2. Every exported top-level identifier in the core packages — pareto,
-//     traverse, bound, shard, supervise, serve, workload, fleet — has a
-//     doc comment. A group comment on a const/var block covers the whole
-//     block.
+//     traverse, bound, shard, supervise (spool layout and retry
+//     schedule), serve, workload, fleet (the one shard coordinator),
+//     store — has a doc comment. A group comment on a const/var block
+//     covers the whole block.
 //  3. Every "docs/<name>.md" reference in a comment points at a file
 //     that exists, so doc comments cannot drift away from the documents
 //     they cite (e.g. docs/fleet-protocol.md, docs/shard-format.md).

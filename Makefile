@@ -18,7 +18,7 @@ RACE_PKGS := ./internal/bound ./internal/pareto ./internal/fusion \
 # fleet` with -race; ./internal/supervise keeps the retry-schedule test.
 ROBUST_PKGS := ./internal/shard ./internal/supervise ./internal/traverse
 
-.PHONY: all vet build test race robust serve fleet chaos store perfbench-smoke bench-json docs ci
+.PHONY: all vet build test race robust flake serve fleet chaos store perfbench-smoke bench-json docs ci
 
 all: ci
 
@@ -53,6 +53,13 @@ race:
 
 robust:
 	go test -race -count=1 $(ROBUST_PKGS)
+
+# Flake gate: the concurrent traversal package repeated across GOMAXPROCS
+# settings, and the elapsed-time checkpoint schedule tests (fake clock,
+# no sleeps) repeated. A test that fails one run in fifty fails here.
+flake:
+	go test -count=50 -cpu 1,2,4,8 ./internal/traverse
+	go test -count=20 -run '^TestSchedule' ./internal/shard
 
 # The derivation-server suite under the race detector: deadlines,
 # cache-stampede single-flight, saturation shedding, panic containment,
@@ -115,4 +122,4 @@ bench-json:
 		go run ./internal/tools/benchjson -delta $(BENCH_PREV) $(BENCH_OUT); \
 	fi
 
-ci: vet build test race robust serve fleet chaos store perfbench-smoke docs
+ci: vet build test race robust flake serve fleet chaos store perfbench-smoke docs

@@ -78,7 +78,7 @@ func main() {
 	spool := flag.String("spool", "", "spool directory for sharded derivations (empty disables the shards request field)")
 	storeDir := flag.String("store-dir", "", "durable curve-store directory (docs/curve-store.md): derived curves persist across restarts and are shared with CLI warmers (empty disables the disk tier)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "byte cap of -store-dir, enforced by LRU garbage collection (0 = 1 GiB default; small values clamped up)")
-	checkpoint := flag.Int64("checkpoint", 0, "tiling indices per checkpoint flush for spooled shards (0 = shard default)")
+	checkpoint := flag.Int64("checkpoint", 0, "tiling indices per checkpoint flush for spooled and worker shards (0 = flush about once per second)")
 	retries := flag.Int("retries", 0, "per-shard retry budget for spooled derivations (0 = default)")
 	maxShards := flag.Int("max-shards", 0, "cap on the per-request shard count (0 = 64)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight derivations before cancelling them")

@@ -30,8 +30,9 @@ type ShardFlags struct {
 	// Out is the partial-frontier file of -shard (checkpoint target and
 	// final artifact), or the merged-curve JSON file of -supervise.
 	Out string
-	// Checkpoint is the per-shard checkpoint stride (0 = ~1/32 of the
-	// slice).
+	// Checkpoint is a fixed per-shard checkpoint stride: indices per
+	// block, one flush per block (0 = flush about once per second of
+	// elapsed time; a short shard writes only its final flush).
 	Checkpoint int64
 	// Supervise is the fleet width of a supervised run (0 = off).
 	Supervise int
@@ -67,7 +68,7 @@ func AddShardFlags(fs *flag.FlagSet, indexNoun string) *ShardFlags {
 	f := &ShardFlags{}
 	fs.StringVar(&f.Shard, "shard", "", "derive only shard k/N of the index space into -out (e.g. 1/4); resumes an interrupted run from the same file")
 	fs.StringVar(&f.Out, "out", "", "partial-frontier file for -shard (checkpoint target and final artifact), or merged-curve JSON file for -supervise")
-	fs.Int64Var(&f.Checkpoint, "checkpoint", 0, indexNoun+" per checkpoint flush in -shard/-supervise mode (0 = ~1/32 of each slice)")
+	fs.Int64Var(&f.Checkpoint, "checkpoint", 0, indexNoun+" per checkpoint flush in -shard/-supervise mode (0 = flush about once per second)")
 	fs.IntVar(&f.Supervise, "supervise", 0, "derive all N shards under one supervisor (retry, quarantine, resumable interrupt) and merge the result")
 	fs.StringVar(&f.ShardDir, "shard-dir", "", "directory for per-shard checkpoint files in -supervise mode (required; reused on resume)")
 	fs.IntVar(&f.Retries, "retries", 0, "per-shard retry budget in -supervise mode (0 = default, negative = none)")

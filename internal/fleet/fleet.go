@@ -137,8 +137,9 @@ type ShardRequest struct {
 	ShardIndex int `json:"shard_index"`
 	ShardCount int `json:"shard_count"`
 
-	// CheckpointEvery overrides the worker-side checkpoint stride
-	// (shard.RunOptions semantics; 0 means the worker's default).
+	// CheckpointEvery overrides the worker-side checkpoint schedule with
+	// a fixed stride (shard.RunOptions semantics); 0 means the worker's
+	// configured stride, or the elapsed-time schedule if it has none.
 	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
 
 	// TimeoutMS bounds the worker-side wall time of the shard run. Zero
@@ -192,9 +193,9 @@ type Options struct {
 	// the first valid response wins. Zero disables speculation.
 	SpeculateAfter time.Duration
 
-	// CheckpointEvery is the checkpoint stride of in-process shards
+	// CheckpointEvery is a fixed checkpoint stride for in-process shards
 	// (shard.RunOptions semantics), forwarded to workers for dispatched
-	// ones.
+	// ones; 0 keeps the elapsed-time schedule, about one flush per second.
 	CheckpointEvery int64
 
 	// AllowPartial permits a degraded merge when shards fail

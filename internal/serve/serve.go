@@ -109,9 +109,10 @@ type Config struct {
 	// store minimum.
 	StoreMaxBytes int64
 
-	// CheckpointEvery is the per-shard checkpoint stride for spooled
-	// derivations (shard.RunOptions semantics; 0 means the shard
-	// package default).
+	// CheckpointEvery is a fixed per-shard checkpoint stride for spooled
+	// derivations and worker shards (shard.RunOptions semantics); 0 means
+	// the shard package's elapsed-time schedule, about one flush per
+	// second and only the final one for a short shard.
 	CheckpointEvery int64
 
 	// ShardRetries is the per-shard retry budget for spooled
@@ -209,9 +210,11 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// workerLocks serializes concurrent /v1/shard runs per checkpoint
-	// path (see lockShardPath); workerMu guards the table.
+	// path (see lockShardPath); workerDirs counts the runs in each
+	// digest directory (see enterShardDir); workerMu guards both.
 	workerMu    sync.Mutex
 	workerLocks map[string]*wlock
+	workerDirs  map[string]int
 
 	// fleetReg is the server-lifetime fleet membership: worker health,
 	// circuit breakers, Retry-After holds and throughput scores persist

@@ -60,6 +60,36 @@ func (s *Server) lockShardPath(path string) func() {
 	}
 }
 
+// enterShardDir registers a worker shard run in a derivation's digest
+// directory and creates the directory. The returned leave func removes
+// it once the last run of that digest on this worker has left and the
+// directory is empty; a sibling shard that has not flushed yet has no
+// file there, so an emptiness check alone would pull the directory out
+// from under its first checkpoint write.
+func (s *Server) enterShardDir(dir string) (leave func(), err error) {
+	s.workerMu.Lock()
+	if s.workerDirs == nil {
+		s.workerDirs = make(map[string]int)
+	}
+	s.workerDirs[dir]++
+	s.workerMu.Unlock()
+	leave = func() {
+		s.workerMu.Lock()
+		defer s.workerMu.Unlock()
+		if s.workerDirs[dir]--; s.workerDirs[dir] == 0 {
+			delete(s.workerDirs, dir)
+			// Best-effort: fails, and keeps the directory, while a failed
+			// shard's checkpoint or a quarantined file remains in it.
+			_ = os.Remove(dir)
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		leave()
+		return nil, err
+	}
+	return leave, nil
+}
+
 // handleShard is POST /v1/shard: the worker half of the derivation
 // fleet. It compiles the embedded spec for the requested plan slot, runs
 // the slice as a checkpointed shard.Run under the worker spool (so a
@@ -230,6 +260,8 @@ func (s *Server) workerShardPath(job *shard.Job, plan shard.Plan) string {
 // an in-process coordinator. On success the checkpoint is removed — the
 // coordinator owns the durable copy from here on; a response the
 // coordinator never received is simply re-dispatched and re-derived.
+// The digest directory goes when the last run in it leaves
+// (enterShardDir).
 func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.Plan, stride int64) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -245,9 +277,11 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 	path := s.workerShardPath(&job, plan)
 	unlock := s.lockShardPath(path)
 	defer unlock()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	leave, err := s.enterShardDir(filepath.Dir(path))
+	if err != nil {
 		return nil, err
 	}
+	defer leave()
 	start := time.Now()
 	rs, qpath, err := fleet.RunSlot(ctx, job, shard.RunOptions{
 		Path:            path,
@@ -269,11 +303,6 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 	}
 	if rmErr := os.Remove(path); rmErr != nil {
 		s.logf("serve: cleaning worker checkpoint %s: %v", path, rmErr)
-	} else {
-		// Best-effort: the digest directory goes away with its last shard;
-		// while sibling shards still checkpoint in it, the remove fails
-		// (non-empty) and the directory stays — exactly what we want.
-		_ = os.Remove(filepath.Dir(path))
 	}
 	return data, nil
 }

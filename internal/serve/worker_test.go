@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bound"
@@ -291,5 +292,94 @@ func TestWorkerQuarantinesEachCorruptCheckpoint(t *testing.T) {
 		if got, err := os.ReadFile(name); err != nil || string(got) != fmt.Sprintf("torn checkpoint %d", gen) {
 			t.Fatalf("quarantine %s holds %q (err %v), want torn checkpoint %d", name, got, err, gen)
 		}
+	}
+}
+
+// gateFS holds the first checkpoint write whose temp-file pattern starts
+// with prefix until release is closed, closing reached when it arrives.
+type gateFS struct {
+	shard.FS
+	prefix           string
+	reached, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gateFS) CreateTemp(dir, pattern string) (shard.File, error) {
+	if strings.HasPrefix(pattern, g.prefix) {
+		g.once.Do(func() {
+			close(g.reached)
+			<-g.release
+		})
+	}
+	return g.FS.CreateTemp(dir, pattern)
+}
+
+// TestWorkerSiblingShardKeepsDigestDir is the regression test for the
+// digest-directory cleanup race: shard 1 of a derivation completes (and
+// cleans up) while shard 2 of the same derivation, on the same worker,
+// has derived its slice but not yet written its first checkpoint. The
+// directory shard 2 is about to write into must survive, and shard 2
+// must still succeed; the directory goes once both have left.
+func TestWorkerSiblingShardKeepsDigestDir(t *testing.T) {
+	gate := &gateFS{
+		FS:      shard.OS(),
+		prefix:  "shard-2-of-2.json",
+		reached: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	workerDir := t.TempDir()
+	_, ts := newTestServer(t, Config{WorkerDir: workerDir, MaxConcurrent: 2, shardFS: gate})
+	e := einsum.GEMM("gemm_32x24x16", 32, 24, 16)
+	spec := workload.NewBound(e, bound.Options{})
+
+	type reply struct {
+		status int
+		data   []byte
+		err    error
+	}
+	body := shardBody(t, spec, 1, 2)
+	second := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/shard", "application/json", bytes.NewReader(body))
+		if err != nil {
+			second <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		second <- reply{resp.StatusCode, data, err}
+	}()
+	select {
+	case <-gate.reached:
+	case r := <-second:
+		close(gate.release)
+		t.Fatalf("shard 2 answered before its first checkpoint write: %d %s (%v)", r.status, r.data, r.err)
+	}
+
+	status, data := postShard(t, ts.URL, shardBody(t, spec, 0, 2))
+	close(gate.release)
+	if status != http.StatusOK {
+		t.Fatalf("shard 1: status %d: %s", status, data)
+	}
+	r := <-second
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.status != http.StatusOK {
+		t.Fatalf("shard 2 after its sibling's cleanup: status %d: %s", r.status, r.data)
+	}
+	var p shard.Partial
+	if err := json.Unmarshal(r.data, &p); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Manifest.Complete() {
+		t.Fatal("shard 2 returned an incomplete partial")
+	}
+	left, err := os.ReadDir(workerDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("worker directory keeps %d entries after both shards, want none", len(left))
 	}
 }

@@ -11,10 +11,16 @@ import (
 	"repro/internal/pareto"
 )
 
-// defaultBlocksPerShard sets the automatic checkpoint granularity: a shard
-// flushes its partial frontier about this many times over its slice, so a
-// kill loses at most ~1/defaultBlocksPerShard of the shard's work.
+// defaultBlocksPerShard sizes the first block of the default checkpoint
+// schedule at about 1/defaultBlocksPerShard of the shard's slice; later
+// blocks double until one takes about flushInterval (see Run).
 const defaultBlocksPerShard = 32
+
+// flushInterval is the target wall time between checkpoint flushes of the
+// default schedule: a shard shorter than this writes only its final
+// flush, and a killed long shard loses about max(slice/32, flushInterval)
+// of work.
+const flushInterval = time.Second
 
 // DeriveFunc derives the partial frontier over the global enumeration
 // indices [lo, hi) of a flat traversal space, returning the annotated
@@ -60,8 +66,10 @@ type RunOptions struct {
 	// resume source when it already exists, final artifact on completion.
 	Path string
 
-	// CheckpointEvery is the number of enumeration indices derived
-	// between flushes. <= 0 picks ~1/32 of the shard's slice.
+	// CheckpointEvery, when positive, is a fixed stride: the number of
+	// enumeration indices derived per block, with a flush after every
+	// block. <= 0 selects the elapsed-time schedule (see Run): flushes
+	// about once per second, and only the final one for a short shard.
 	CheckpointEvery int64
 
 	// OnCheckpoint, when non-nil, observes the manifest after every
@@ -71,6 +79,10 @@ type RunOptions struct {
 	// FS overrides the filesystem the checkpoint path uses. Nil means
 	// the real OS filesystem; tests inject a FaultFS here.
 	FS FS
+
+	// now replaces time.Now as the clock of the elapsed-time schedule;
+	// nil means time.Now. The schedule tests drive it with a fake clock.
+	now func() time.Time
 }
 
 // RunStats reports what a shard run actually did.
@@ -83,30 +95,45 @@ type RunStats struct {
 	Elapsed     time.Duration // wall-clock time of this run
 }
 
-// Run executes one shard: it derives the job's slice in checkpoint
-// blocks, flushing the accumulated partial frontier to opts.Path after
-// each block, and returns the final partial. If opts.Path already holds a
-// partial of the same derivation and shard, the run resumes at its
-// completed-through mark — the restart path for a killed shard; a partial
-// of a different derivation is an error, never silently overwritten. A
-// legacy format-version-1 checkpoint resumes like any other and is
-// upgraded in place: the first flush rewrites it at the current
-// FormatVersion with the job's Spec embedded.
+// Run executes one shard: it derives the job's slice in blocks, flushing
+// the accumulated partial frontier to opts.Path at block boundaries, and
+// returns the final partial. If opts.Path already holds a partial of the
+// same derivation and shard, the run resumes at its completed-through
+// mark — the restart path for a killed shard; a partial of a different
+// derivation is an error, never silently overwritten. A legacy
+// format-version-1 checkpoint resumes like any other and is upgraded in
+// place: the first flush rewrites it at the current FormatVersion with
+// the job's Spec embedded.
 // Stale temp files a killed predecessor left next to opts.Path are swept
 // on startup.
 //
+// With a positive opts.CheckpointEvery every block has that many indices
+// and ends in a flush. Otherwise the schedule follows elapsed time: the
+// first block is about 1/32 of the slice, each later one twice the last
+// until a block takes about flushInterval, and a block boundary flushes
+// only when waiting for the next one would leave the last flush more
+// than flushInterval behind. The final block always flushes. Where the
+// blocks are cut never changes the completed partial's bytes. Every
+// flush, the final and cancellation ones included, is followed by
+// opts.OnCheckpoint.
+//
 // Cancelling ctx stops the run within about one traversal worker chunk —
-// inside a checkpoint block, not just between blocks — flushes a final
-// checkpoint at the last completed block boundary, and returns the
-// context error together with the resumable partial. Every error return
+// inside a block, not just between blocks — discards the interrupted
+// block, flushes the completed blocks not yet on disk, and returns the
+// context error together with the resumable partial, whose
+// completed-through mark equals the one on disk. Every error return
 // wraps either a context error, ErrCorruptPartial, ErrForeignPartial, or
 // describes an I/O failure whose on-disk state is still the last
 // successfully flushed checkpoint; none leaves a corrupt artifact at
 // opts.Path.
 func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, error) {
-	start := time.Now()
+	now := opts.now
+	if now == nil {
+		now = time.Now
+	}
+	start := now()
 	var stats RunStats
-	elapse := func() { stats.Elapsed = time.Since(start) }
+	elapse := func() { stats.Elapsed = now().Sub(start) }
 	if err := job.Plan.Validate(); err != nil {
 		return nil, stats, err
 	}
@@ -171,50 +198,60 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 	}
 	stats.ResumedFrom = m.CompletedThrough
 
-	every := opts.CheckpointEvery
-	if every <= 0 {
-		every = (hi - lo + defaultBlocksPerShard - 1) / defaultBlocksPerShard
-		if every < 1 {
-			every = 1
-		}
+	fixed := opts.CheckpointEvery > 0
+	block := opts.CheckpointEvery
+	if !fixed {
+		block = max(1, (hi-lo+defaultBlocksPerShard-1)/defaultBlocksPerShard)
 	}
+	lastFlush := start
+	pending := false // blocks derived since the last flush
 
-	// flush persists the accumulated state at the current block boundary.
+	// flush persists the accumulated state at the current block boundary
+	// and reports it to OnCheckpoint.
 	flush := func() error {
-		return writePartial(fsys, opts.Path, &Partial{Manifest: m, Curve: acc})
+		if err := writePartial(fsys, opts.Path, &Partial{Manifest: m, Curve: acc}); err != nil {
+			return err
+		}
+		lastFlush, pending = now(), false
+		if opts.OnCheckpoint != nil {
+			opts.OnCheckpoint(m)
+		}
+		return nil
+	}
+	// interrupted surrenders a cancelled run with the resumable partial,
+	// first committing the completed blocks not yet on disk so the
+	// on-disk mark equals the returned one.
+	interrupted := func(cerr error) (*Partial, RunStats, error) {
+		if pending {
+			if err := flush(); err != nil {
+				elapse()
+				return nil, stats, err
+			}
+		}
+		elapse()
+		return &Partial{Manifest: m, Curve: acc}, stats, cerr
 	}
 
 	for m.CompletedThrough < hi {
 		if err := ctx.Err(); err != nil {
 			// Interrupted between blocks (e.g. SIGINT/SIGTERM through
-			// signal.NotifyContext): flush a final checkpoint so the state
-			// on disk is current even if an earlier flush was skipped,
-			// then surrender with the resumable partial.
-			if acc != nil {
-				if ferr := flush(); ferr != nil {
-					elapse()
-					return nil, stats, ferr
-				}
-			}
-			elapse()
-			return &Partial{Manifest: m, Curve: acc}, stats, err
+			// signal.NotifyContext).
+			return interrupted(err)
 		}
-		bhi := m.CompletedThrough + every
-		if bhi > hi {
-			bhi = hi
-		}
+		bhi := min(hi, m.CompletedThrough+block)
+		t0 := now()
 		blk, n, err := job.Derive(ctx, m.CompletedThrough, bhi)
 		if err != nil {
-			elapse()
 			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				// Cancelled inside the block: the last flushed checkpoint
-				// (at m.CompletedThrough) is intact and resumable; the
-				// partial block's work is discarded by design, since a
-				// curve over an unknown index subset cannot be committed.
-				return &Partial{Manifest: m, Curve: acc}, stats, err
+				// Cancelled inside the block: its work is discarded by
+				// design, since a curve over an unknown index subset
+				// cannot be committed.
+				return interrupted(err)
 			}
+			elapse()
 			return nil, stats, fmt.Errorf("shard: deriving [%d, %d): %w", m.CompletedThrough, bhi, err)
 		}
+		took := now().Sub(t0)
 		merged := pareto.Union(acc, blk)
 		merged.AlgoMinBytes = blk.AlgoMinBytes
 		merged.TotalOperandBytes = blk.TotalOperandBytes
@@ -222,13 +259,23 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 		m.CompletedThrough = bhi
 		stats.Evaluated += n
 		stats.Blocks++
-		if err := flush(); err != nil {
-			elapse()
-			return nil, stats, err
+		pending = true
+		next := block
+		if !fixed {
+			next = nextBlock(block, took, hi-lo)
 		}
-		if opts.OnCheckpoint != nil {
-			opts.OnCheckpoint(m)
+		// Flush unless the next block boundary still comes within
+		// flushInterval of the last flush (predicting the next block's
+		// time from this one's rate).
+		predicted := time.Duration(float64(took) * float64(next) / float64(block))
+		due := fixed || bhi == hi || now().Sub(lastFlush)+predicted > flushInterval
+		if due {
+			if err := flush(); err != nil {
+				elapse()
+				return nil, stats, err
+			}
 		}
+		block = next
 	}
 
 	if acc == nil {
@@ -248,4 +295,16 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 	}
 	elapse()
 	return &Partial{Manifest: m, Curve: acc}, stats, nil
+}
+
+// nextBlock sizes the block after one of block indices that took took:
+// twice as large while a block takes under half of flushInterval, then
+// about one interval's worth of indices at the observed rate, within
+// [1, limit].
+func nextBlock(block int64, took time.Duration, limit int64) int64 {
+	next := 2 * block
+	if took > flushInterval/2 {
+		next = int64(float64(block) * float64(flushInterval) / float64(took))
+	}
+	return min(max(next, 1), limit)
 }

@@ -78,6 +78,10 @@ func Recovered(v any) *PanicError {
 	return &PanicError{Value: v, Stack: debug.Stack()}
 }
 
+// testHookPoisoned, when non-nil, runs right after a panicking chunk sets
+// the poison flag: the reference point of the peer-stop test.
+var testHookPoisoned func()
+
 // runChunk invokes one chunk function with panic containment: a panic in
 // fn becomes a *PanicError return instead of unwinding the worker
 // goroutine (which would crash the process, since goroutine panics cannot
@@ -90,6 +94,9 @@ func runChunk(fn RangeFunc, lo, hi int64, poisoned *atomic.Bool) (n int64, err e
 		if r := recover(); r != nil {
 			if poisoned != nil {
 				poisoned.Store(true)
+				if testHookPoisoned != nil {
+					testHookPoisoned()
+				}
 			}
 			err = Recovered(r)
 		}

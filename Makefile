@@ -18,7 +18,7 @@ RACE_PKGS := ./internal/bound ./internal/pareto ./internal/fusion \
 # fleet` with -race; ./internal/supervise keeps the retry-schedule test.
 ROBUST_PKGS := ./internal/shard ./internal/supervise ./internal/traverse
 
-.PHONY: all vet build test race robust flake serve fleet chaos store perfbench-smoke bench-json docs ci
+.PHONY: all vet build test race robust flake serve fleet chaos store perfbench-smoke bench-smoke bench-json docs ci
 
 all: ci
 
@@ -104,6 +104,13 @@ store:
 perfbench-smoke:
 	cd perfbench && go test -count=1 .
 
+# Benchmark smoke: every Go benchmark under internal/ run once, so a
+# benchmark that no longer compiles, panics or fails its own checks fails
+# here rather than when someone next measures with it (about 8 s on 2
+# cores). One iteration says nothing about speed; perfbench measures that.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/...
+
 # Machine-readable benchmark artifact: the paper-figure benchmark suite
 # (root package) parsed into $(BENCH_OUT) by internal/tools/benchjson,
 # followed by a delta report against the tracked $(BENCH_PREV) artifact
@@ -122,4 +129,4 @@ bench-json:
 		go run ./internal/tools/benchjson -delta $(BENCH_PREV) $(BENCH_OUT); \
 	fi
 
-ci: vet build test race robust flake serve fleet chaos store perfbench-smoke docs
+ci: vet build test race robust flake serve fleet chaos store perfbench-smoke bench-smoke docs

@@ -134,7 +134,7 @@ func main() {
 		fmt.Printf("workload: %s\n", e)
 		fmt.Printf("mappings evaluated: %d in %v\n", a.Stats.MappingsEvaluated, a.Stats.Elapsed)
 		if *stats {
-			fmt.Printf("tilings evaluated: %d (covering %d mappings)\n",
+			fmt.Printf("tilings covered: %d (covering %d mappings)\n",
 				a.Stats.Tilings, a.Stats.MappingsEvaluated)
 			fmt.Printf("workers: %d  throughput: %.0f mappings/sec\n",
 				a.Stats.Workers, a.Stats.MappingsPerSec())

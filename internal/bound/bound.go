@@ -22,8 +22,10 @@ import (
 // runtime comparison and the cmd tools' -stats output.
 type Stats struct {
 	// MappingsEvaluated counts the mappings (tiling × distinct outer-loop
-	// order) the derivation covered; Tilings counts the evaluations it
-	// actually ran, one per tiling.
+	// order) the derivation covered; Tilings counts the tilings it
+	// covered. Each tiling stands for all its orders, and a tiling that
+	// cannot reach the frontier may be covered without being evaluated
+	// (see DeriveRange), so neither is a count of evaluations run.
 	MappingsEvaluated int64
 	Tilings           int64
 	Elapsed           time.Duration
@@ -165,15 +167,22 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, lo, hi int
 	}
 	// One evaluation per tiling: a tiling's mappings share its buffer
 	// requirement, so only its minimum-access order can reach the frontier
-	// (see snowcat.TilingEvaluator). The count still reports every mapping
-	// that evaluation covers.
+	// (see snowcat.TilingEvaluator). A twin tiling — one whose reduced
+	// tiling (mapping.Enum.ReducedIndex) differs from it — is weakly
+	// dominated by that reduced tiling, so it is skipped whenever the
+	// reduced tiling lies in this call's own range: the range's curve is
+	// then unchanged, whoever else derives the rest of the space. The
+	// count still reports every mapping each tiling covers, skipped or not.
 	curve, ts, err := traverse.FrontierRange(ctx, lo, hi, opts.Workers, func() traverse.ChunkFunc {
 		te := snowcat.NewTilingEvaluator(e, model)
-		return func(lo, hi int64, b *pareto.Builder) int64 {
+		return func(clo, chi int64, b *pareto.Builder) int64 {
 			var count int64
-			en.VisitTilings(lo, hi, func(splits []shape.Split) {
-				b.Add(te.Evaluate(splits))
+			en.VisitTilings(clo, chi, func(flat int64, digits []int, splits []shape.Split) {
 				count += mapping.Orders(splits)
+				if r := en.ReducedIndex(flat, digits); r != flat && r >= lo {
+					return
+				}
+				b.Add(te.Evaluate(splits))
 			})
 			return count
 		}

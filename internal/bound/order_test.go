@@ -16,6 +16,11 @@ import (
 // evaluator and fed to one Pareto builder. It returns the annotated curve
 // and the number of mappings visited.
 func exhaustiveCurve(e *einsum.Einsum, opts Options) (*pareto.Curve, int64) {
+	return exhaustiveRange(e, opts, 0, Space(e, opts))
+}
+
+// exhaustiveRange is exhaustiveCurve over the tilings [lo, hi) only.
+func exhaustiveRange(e *einsum.Einsum, opts Options, lo, hi int64) (*pareto.Curve, int64) {
 	ev := snowcat.NewEvaluator(e)
 	eval := ev.EvaluateCompact
 	switch {
@@ -27,7 +32,7 @@ func exhaustiveCurve(e *einsum.Einsum, opts Options) (*pareto.Curve, int64) {
 	en := newEnum(e, opts)
 	b := pareto.NewBuilder()
 	var n int64
-	en.Visit(0, en.Tilings(), func(m *mapping.Mapping) {
+	en.Visit(lo, hi, func(m *mapping.Mapping) {
 		b.Add(eval(m))
 		n++
 	})
@@ -69,7 +74,7 @@ func TestDeriveMatchesExhaustiveOrders(t *testing.T) {
 						e.Name, opts, got.Stats.MappingsEvaluated, mappings)
 				}
 				if tilings := Space(e, opts); got.Stats.Tilings != tilings {
-					t.Fatalf("%s %+v: %d tilings evaluated, space has %d", e.Name, opts, got.Stats.Tilings, tilings)
+					t.Fatalf("%s %+v: %d tilings covered, space has %d", e.Name, opts, got.Stats.Tilings, tilings)
 				}
 			}
 		}

@@ -15,6 +15,13 @@ import (
 type Enum struct {
 	rankNames []string
 	options   [][]shape.Split
+
+	// twins is set when some rank has two options with one outer count.
+	// A rank's options list ascending inner tiles with non-increasing
+	// outer counts, so such options are adjacent and the first of a run
+	// has the smallest inner tile. Only imperfect enumerations have them:
+	// distinct divisors give distinct outer counts.
+	twins bool
 }
 
 // NewEnum builds the perfect-factor enumeration of e's mapspace: every
@@ -38,11 +45,33 @@ func NewImperfectEnum(e *einsum.Einsum, extra int) *Enum {
 		sp := make([]shape.Split, len(cands))
 		for j, c := range cands {
 			sp[j] = shape.Split{Inner: c, Outer: shape.CeilDiv(r.Shape, c)}
+			en.twins = en.twins || (j > 0 && sp[j].Outer == sp[j-1].Outer)
 		}
 		en.rankNames = append(en.rankNames, r.Name)
 		en.options = append(en.options, sp)
 	}
 	return en
+}
+
+// ReducedIndex returns the flat index of the reduced form of the tiling at
+// flat whose per-rank option indices are digits (as VisitTilings passes
+// them): the tiling with each rank's option replaced by the first option
+// of the same outer count. The reduced tiling has the same outer loops and
+// an inner tile no larger in any rank. ReducedIndex returns flat itself
+// when the tiling is already reduced and a smaller index otherwise.
+func (en *Enum) ReducedIndex(flat int64, digits []int) int64 {
+	if !en.twins {
+		return flat
+	}
+	stride := int64(1)
+	for i := len(digits) - 1; i >= 0; i-- {
+		opts := en.options[i]
+		for d := digits[i]; d > 0 && opts[d-1].Outer == opts[d].Outer; d-- {
+			flat -= stride
+		}
+		stride *= int64(len(opts))
+	}
+	return flat
 }
 
 // Tilings returns the number of flat indices (tiling combinations; outer
@@ -66,7 +95,7 @@ func (en *Enum) Tilings() int64 {
 // only need each tiling's best order use VisitTilings.
 func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
 	m := &Mapping{Splits: make(map[string]shape.Split, len(en.rankNames))}
-	en.VisitTilings(lo, hi, func(splits []shape.Split) {
+	en.VisitTilings(lo, hi, func(_ int64, _ []int, splits []shape.Split) {
 		for i, r := range en.rankNames {
 			m.Splits[r] = splits[i]
 		}
@@ -75,10 +104,11 @@ func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
 }
 
 // VisitTilings enumerates the tilings with flat index in [lo, hi) in
-// Visit's order, calling visit once per tiling with one split per rank in
-// Einsum.Ranks order. The slice is reused between calls; visitors that
-// retain it must copy it.
-func (en *Enum) VisitTilings(lo, hi int64, visit func([]shape.Split)) {
+// Visit's order, calling visit once per tiling with its flat index, its
+// option index per rank (digits) and its split per rank, both in
+// Einsum.Ranks order. The slices are reused between calls and must not be
+// modified; visitors that retain them must copy them.
+func (en *Enum) VisitTilings(lo, hi int64, visit func(flat int64, digits []int, splits []shape.Split)) {
 	n := len(en.rankNames)
 	if n == 0 || lo >= hi {
 		return
@@ -96,7 +126,7 @@ func (en *Enum) VisitTilings(lo, hi int64, visit func([]shape.Split)) {
 		for i := range splits {
 			splits[i] = en.options[i][idx[i]]
 		}
-		visit(splits)
+		visit(flat, idx, splits)
 		for i := n - 1; i >= 0; i-- {
 			idx[i]++
 			if idx[i] < len(en.options[i]) {

@@ -30,11 +30,21 @@
 // (lexicographically least (DRAM, outer L2 part), plus the least mid
 // part) exactly — one evaluation where the enumeration made (n!)^2, while
 // Mappings still counts the (n!)^2 mappings covered.
+//
+// The least DRAM traffic depends only on the L2 tiles. When every tensor
+// has an iterating relevant mid loop, the outer part of L2 traffic is zero
+// in every outer order, so that least DRAM traffic is all the outer search
+// yields. Each worker caches it per L2 tile of the last rank, which varies
+// fastest, and clears the cache whenever a leading rank's split changes;
+// such a combination with a cached value runs only the mid search. The
+// DRAM point is added once per cache fill, since later combinations with
+// the same L2 tiles would add the same point.
 package multilevel
 
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/einsum"
 	"repro/internal/nest"
@@ -86,6 +96,13 @@ type jointEntry struct {
 // the same result in any order.
 func (je jointEntry) better(dram, l2 int64) bool {
 	return dram < je.dram || (dram == je.dram && l2 < je.l2)
+}
+
+// dramSlot is one entry of a worker's DRAM cache: the L2 key (bytes) and
+// the least DRAM traffic (elements) of an L2 tile, valid while gen matches
+// the worker's current generation.
+type dramSlot struct {
+	gen, key, dram int64
 }
 
 // derState is one worker's share of the traversal output.
@@ -155,6 +172,14 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 		options[i] = shape.ThreeSplits(r.Shape)
 	}
 	combos := hi - lo
+	// l2Slot[j]: the index, among the last rank's divisors, of the L2
+	// tile (L0·L1) of its j-th three-split — the slot of the per-worker
+	// DRAM cache that combination reads.
+	lastDivs := shape.Divisors(e.Ranks[n-1].Shape)
+	l2Slot := make([]int, len(options[n-1]))
+	for j, ts := range options[n-1] {
+		l2Slot[j] = sort.Search(len(lastDivs), func(d int) bool { return lastDivs[d] >= ts.L0*ts.L1 })
+	}
 
 	tensors := e.Dense()
 	es := e.ElementSize
@@ -183,6 +208,14 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 		var outer, mid nest.LoopSet
 		var outerAll int64 // product of every outer bound
 		var search nest.OrderSearch
+		// dramMin[l2Slot[j]] caches the least DRAM traffic (elements) of
+		// the combinations whose last rank has that L2 tile and whose
+		// leading ranks are the current ones. A slot holds a value only
+		// if it was filled in the current generation; bumping gen at each
+		// chunk start and whenever a leading rank's split changes clears
+		// every slot at once.
+		dramMin := make([]dramSlot, len(lastDivs))
+		var gen int64
 
 		// The three traffic components, each a function of one level's
 		// order only. DRAM traffic and the L2 traffic of a tensor with no
@@ -220,6 +253,7 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 				idx[i] = int(rem % k)
 				rem /= k
 			}
+			gen++
 			var count int64
 			for flat := clo; flat < chi; flat++ {
 				outer.Reset()
@@ -233,29 +267,52 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 					mid.Add(i, ts.L1)
 					outerAll *= ts.L2
 				}
-				var buf1, buf2 int64
+				var buf1 int64
 				for i := range tensors {
-					t := &tensors[i]
-					fp0[i] = t.Footprint(tiles0)
-					fp1[i] = t.Footprint(tiles1)
+					fp0[i] = tensors[i].Footprint(tiles0)
 					buf1 += fp0[i]
-					buf2 += fp1[i]
 				}
 				if buf1*es <= l1CapBytes {
-					key := buf2 * es
-					outer.Relevance(tensors)
 					mid.Relevance(tensors)
+					allMid := true
 					for i := range tensors {
 						midIter[i] = mid.Rel[i] != 0
+						allMid = allMid && midIter[i]
 					}
 					// Over all (outer, mid) order pairs: the least DRAM
 					// traffic, the least L2 traffic (min A + min B), and the
-					// joint entry lexmin(DRAM, A) + min B.
-					dram, jointA := search.MinLex(outer.Bounds, outer.Rel, dramAndA)
-					minA, _ := search.MinLex(outer.Bounds, outer.Rel, onlyA)
+					// joint entry lexmin(DRAM, A) + min B. The key and the
+					// least DRAM traffic depend on the L2 tiles alone, so
+					// they are cached per last-rank L2 tile; when every
+					// tensor has an iterating relevant mid loop, A is zero
+					// in every outer order and a cached entry replaces the
+					// L2 footprints and the whole outer search.
+					slot := &dramMin[l2Slot[idx[n-1]]]
+					fresh := slot.gen != gen
+					var key, dram, jointA, minA int64
+					if allMid && !fresh {
+						key, dram = slot.key, slot.dram
+					} else {
+						var buf2 int64
+						for i := range tensors {
+							fp1[i] = tensors[i].Footprint(tiles1)
+							buf2 += fp1[i]
+						}
+						key = buf2 * es
+						outer.Relevance(tensors)
+						dram, jointA = search.MinLex(outer.Bounds, outer.Rel, dramAndA)
+						if !allMid {
+							minA, _ = search.MinLex(outer.Bounds, outer.Rel, onlyA)
+						}
+					}
 					minB, _ := search.MinLex(mid.Bounds, mid.Rel, onlyB)
 					count += mappings
-					st.dramB.Add(key, dram*es)
+					if fresh {
+						// Later combinations with this L2 tile would re-add
+						// the same point.
+						slot.gen, slot.key, slot.dram = gen, key, dram
+						st.dramB.Add(key, dram*es)
+					}
 					st.l2B.Add(key, (minA+minB)*es)
 					je, ok := st.joint[key]
 					if !ok || je.better(dram*es, (jointA+minB)*es) {
@@ -268,6 +325,9 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 						break
 					}
 					idx[i] = 0
+					if i == n-1 {
+						gen++
+					}
 				}
 			}
 			return count

@@ -51,7 +51,7 @@ func TestTilingEvaluatorMatchesEveryOrder(t *testing.T) {
 			for i := int64(0); i < en.Tilings(); i++ {
 				var gotBuf, gotAcc int64
 				var orders int64
-				en.VisitTilings(i, i+1, func(splits []shape.Split) {
+				en.VisitTilings(i, i+1, func(_ int64, _ []int, splits []shape.Split) {
 					gotBuf, gotAcc = te.Evaluate(splits)
 					orders = mapping.Orders(splits)
 				})
@@ -93,7 +93,7 @@ func TestTilingEvaluatorScalesWithElementSize(t *testing.T) {
 	for _, model := range []Model{Perfect, SpillCharged, Imperfect} {
 		narrowEv, wideEv := NewTilingEvaluator(e, model), NewTilingEvaluator(&wide, model)
 		en := mapping.NewImperfectEnum(e, 2)
-		en.VisitTilings(0, en.Tilings(), func(splits []shape.Split) {
+		en.VisitTilings(0, en.Tilings(), func(_ int64, _ []int, splits []shape.Split) {
 			b1, a1 := narrowEv.Evaluate(splits)
 			b2, a2 := wideEv.Evaluate(splits)
 			if b2 != 2*b1 || a2 != 2*a1 {
